@@ -21,28 +21,19 @@ from .progressions import (
     swap_table,
 )
 from .reducibility import (
-    CombinedReport,
-    ReducibilityReport,
     ReductionTrace,
-    combined_reducible,
     digit_reduce,
-    digit_reducible,
     matrix_reduce,
-    matrix_reducible,
     rref,
 )
 from .cone import (
-    AdmissibilityReport,
     ConeCertificate,
-    admissible,
     cone_trivial,
     integer_oracle,
     verify_certificate,
 )
 
 __all__ = [
-    "AdmissibilityReport",
-    "CombinedReport",
     "ConeCertificate",
     "ConstraintSystem",
     "DigitSetPair",
@@ -50,15 +41,11 @@ __all__ = [
     "LineEquation",
     "Prime",
     "ProgressionTable",
-    "ReducibilityReport",
     "ReductionTrace",
-    "admissible",
     "build_constraint_system",
-    "combined_reducible",
     "cone_trivial",
     "digit_pair",
     "digit_reduce",
-    "digit_reducible",
     "enumerate_progressions",
     "equation_classes",
     "equation_str",
@@ -66,7 +53,6 @@ __all__ = [
     "is_prime",
     "make_line_equation",
     "matrix_reduce",
-    "matrix_reducible",
     "normalize_digit_set",
     "reverse_table",
     "rref",

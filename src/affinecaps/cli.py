@@ -223,6 +223,13 @@ def cmd_classify(args) -> int:
 
 def cmd_cert_verify(args) -> int:
     data = json.loads(Path(args.certificate).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("certificate document must be a JSON object")
+    for key, kind in (("p", int), ("b", int), ("digits", list), ("fixed", list)):
+        if not isinstance(data.get(key), kind):
+            raise ValueError(f"certificate field {key!r} must be a JSON {kind.__name__}")
+    if not all(isinstance(d, int) for d in data["digits"] + data["fixed"]):
+        raise ValueError("certificate digits must be integers")
     pair = digit_pair(data["p"], data["digits"], data["fixed"])
     eq = make_line_equation(data["p"], data["b"])
     method = data["method"]
@@ -233,9 +240,10 @@ def cmd_cert_verify(args) -> int:
         ok = verify_matrix_trace(system, trace_from_jsonable(data["trace"]))
     elif method == "cone":
         system = build_constraint_system(enumerate_progressions(pair, eq))
+        cert = certificate_from_jsonable(data["certificate"])
         try:
-            ok = verify_certificate(system, certificate_from_jsonable(data["certificate"]))
-        except ValueError:
+            ok = verify_certificate(system, cert)
+        except ValueError:  # certificate of the wrong dimension
             ok = False
     else:
         raise CliError(f"unknown certificate method {method!r}")

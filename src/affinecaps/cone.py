@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .progressions import ConstraintSystem, build_constraint_system, enumerate_progressions
-from .zp import DigitSetPair, equation_classes, make_line_equation
+from .progressions import ConstraintSystem
+from .reducibility import pivot
 
 
 class InstanceTooLarge(ValueError):
@@ -45,20 +45,6 @@ class ConeCertificate:
         return self.kind == "trivial"
 
 
-def _pivot(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int],
-           leave: int, enter: int) -> None:
-    lead = tab[leave][enter]
-    tab[leave] = [v / lead for v in tab[leave]]
-    for i in range(len(tab)):
-        if i != leave and tab[i][enter] != 0:
-            f = tab[i][enter]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-    if obj[enter] != 0:
-        f = obj[enter]
-        obj[:] = [a - f * b for a, b in zip(obj, tab[leave])]
-    basis[leave] = enter
-
-
 def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     """Feasibility of {A x = 0, sum(x) = 1, x >= 0} by exact phase-one simplex.
 
@@ -67,7 +53,9 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     normalization row last).
     """
     m = len(a_rows) + 1
-    # columns: n_cols original variables, m artificials, then the RHS
+    # columns: n_cols original variables, m artificials, then the RHS; rows:
+    # the m constraints, then the objective z_j - c_j for min sum(artificials)
+    # with the objective value last
     tab: list[list[Fraction]] = []
     for row in a_rows:
         tab.append([Fraction(v) for v in row]
@@ -76,11 +64,11 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     for i in range(m):
         tab[i][n_cols + i] = Fraction(1)
     basis = [n_cols + i for i in range(m)]
-    # objective row: z_j - c_j for min sum(artificials); last entry = value
-    obj = [sum(tab[i][j] for i in range(m)) for j in range(n_cols)]
-    obj += [Fraction(0)] * m + [Fraction(1)]
+    tab.append([sum(tab[i][j] for i in range(m)) for j in range(n_cols)]
+               + [Fraction(0)] * m + [Fraction(1)])
 
     while True:
+        obj = tab[m]
         enter = next((j for j in range(n_cols + m) if obj[j] > 0), None)
         if enter is None:
             break
@@ -95,7 +83,8 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
                     leave = i
         if leave is None:  # cannot happen: objective is bounded below by 0
             raise RuntimeError("phase-one objective unbounded")
-        _pivot(tab, obj, basis, leave, enter)
+        pivot(tab, leave, enter)
+        basis[leave] = enter
 
     if obj[-1] > 0:
         multipliers = tuple(obj[n_cols + i] + 1 for i in range(m))
@@ -147,24 +136,6 @@ def verify_certificate(system: ConstraintSystem, cert: ConeCertificate) -> bool:
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    certificates: tuple[tuple[int, ConeCertificate], ...]  # (b, certificate)
-
-
-def admissible(pair: DigitSetPair) -> AdmissibilityReport:
-    """Cone-test every equation-class representative of the pair."""
-    certs = []
-    ok = True
-    for b in equation_classes(pair.p).representatives:
-        table = enumerate_progressions(pair, make_line_equation(pair.p, b))
-        cert = cone_trivial(build_constraint_system(table))
-        certs.append((b, cert))
-        ok = ok and cert.trivial
-    return AdmissibilityReport(ok, tuple(certs))
-
-
 ENUMERATION_GUARD = 10**8
 
 
@@ -205,6 +176,13 @@ def certificate_to_jsonable(cert: ConeCertificate) -> dict:
 
 
 def certificate_from_jsonable(data: dict) -> ConeCertificate:
-    dual = tuple(Fraction(s) for s in data["dual"]) if "dual" in data else None
-    witness = tuple(int(s) for s in data["witness"]) if "witness" in data else None
+    """Inverse of ``certificate_to_jsonable``; raises ValueError on a wrong shape."""
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(key, []), list) for key in ("dual", "witness")):
+        raise ValueError("cone certificate must be an object with list-valued dual/witness")
+    try:
+        dual = tuple(Fraction(s) for s in data["dual"]) if "dual" in data else None
+        witness = tuple(int(s) for s in data["witness"]) if "witness" in data else None
+    except TypeError as exc:
+        raise ValueError(f"cone certificate entry is not a number: {exc}") from exc
     return ConeCertificate(data["kind"], dual=dual, witness=witness)

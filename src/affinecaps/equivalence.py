@@ -1,10 +1,10 @@
-"""Affine classification of digit sets via gap fingerprints and orbit scans."""
+"""Affine classification of digit sets by a complete gap fingerprint."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zp import Prime, affine_image, normalize_digit_set
+from .zp import Prime, affine_image, gap_sequence, normalize_digit_set
 
 
 def difference_multiset(digits, p: int) -> tuple[int, ...]:
@@ -15,40 +15,16 @@ def difference_multiset(digits, p: int) -> tuple[int, ...]:
     leave it unchanged, but multiplications generally reshuffle it, so a
     mismatch alone does not refute affine equivalence.
     """
-    p = Prime(p)
-    digits = sorted(set(digits))
-    if not digits:
-        raise ValueError("need at least one digit")
-    gaps = [b - a for a, b in zip(digits, digits[1:])]
-    gaps.append(p - digits[-1] + digits[0])
-    return tuple(sorted(gaps))
-
-
-def _gap_sequence(digits, p: int) -> tuple[int, ...]:
-    digits = sorted(digits)
-    gaps = [b - a for a, b in zip(digits, digits[1:])]
-    gaps.append(p - digits[-1] + digits[0])
-    return tuple(gaps)
-
-
-def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    return tuple(sorted(gap_sequence(digits, Prime(p))))
 
 
 def fingerprint(digits, p: int) -> tuple[int, ...]:
-    """Canonical circular gap signature, invariant under all affine maps.
+    """Gap sequence of the affine normal form: a complete affine invariant.
 
-    Minimizes the rotation-canonical gap sequence over every unit multiple
-    of the set (negation covers reflection). Equal fingerprints are a
-    strong hint of equivalence but classification always confirms with an
-    exhaustive map scan; unequal fingerprints soundly refute.
+    Equal cyclic gap sequences fix a set up to translation, so two digit
+    sets are affinely equivalent iff their fingerprints are equal.
     """
-    p = Prime(p)
-    digits = tuple(sorted(set(digits)))
-    return min(
-        _least_rotation(_gap_sequence(affine_image(digits, a, 0, p), p))
-        for a in range(1, p)
-    )
+    return gap_sequence(normalize_digit_set(digits, p), p)
 
 
 def affine_equivalent(digits1, digits2, p: int):
@@ -81,49 +57,27 @@ class OrbitClass:
 class Classification:
     p: Prime
     classes: tuple[OrbitClass, ...]
-    fingerprint_conflicts: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def classify(digit_sets, p: int) -> Classification:
-    """Partition digit sets into affine-orbit classes.
-
-    Fingerprints only short-circuit refutations; merging two sets always
-    requires an explicit affine witness. Pairs whose fingerprints agree but
-    where the exhaustive scan refutes are recorded as conflicts (none are
-    expected; the signature is designed to be complete).
-    """
+    """Partition digit sets into affine-orbit classes by their fingerprints."""
     p = Prime(p)
     sets = [tuple(sorted(set(d))) for d in digit_sets]
     fps = {d: fingerprint(d, p) for d in set(sets)}
-    reps: list[tuple[int, ...]] = []       # one exemplar per discovered class
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    conflicts = []
     for d in sets:
-        home = None
-        for r in reps:
-            if len(r) != len(d):
-                continue
-            if fps[r] != fps[d]:
-                continue
-            if affine_equivalent(d, r, p) is not None:
-                home = r
-                break
-            conflicts.append((d, r))
-        if home is None:
-            reps.append(d)
-            home = d
-        groups.setdefault(home, []).append(d)
+        groups.setdefault(fps[d], []).append(d)
     classes = []
-    for r in reps:
-        members = tuple(dict.fromkeys(groups[r]))
+    for fp, group in groups.items():
+        members = tuple(dict.fromkeys(group))
         classes.append(OrbitClass(
-            representative=normalize_digit_set(r, p),
+            representative=normalize_digit_set(members[0], p),
             members=members,
-            fingerprint=fps[r],
+            fingerprint=fp,
             gap_multisets=tuple(difference_multiset(m, p) for m in members),
         ))
     classes.sort(key=lambda cls: (cls.representative, cls.members))
-    return Classification(p, tuple(classes), tuple(conflicts))
+    return Classification(p, tuple(classes))
 
 
 def classification_to_jsonable(result: Classification) -> dict:
@@ -138,8 +92,5 @@ def classification_to_jsonable(result: Classification) -> dict:
                 "gap_multisets": [list(g) for g in cls.gap_multisets],
             }
             for i, cls in enumerate(result.classes)
-        ],
-        "fingerprint_conflicts": [
-            [list(a), list(b)] for a, b in result.fingerprint_conflicts
         ],
     }

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .progressions import (
-    ConstraintSystem,
-    Triple,
-    build_constraint_system,
-    enumerate_progressions,
-)
-from .zp import DigitSetPair, LineEquation, equation_classes, make_line_equation
+from .progressions import ConstraintSystem, Triple, enumerate_progressions
+from .zp import DigitSetPair, LineEquation
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,19 @@ class ReductionTrace:
         return "reduced-to-empty" if self.reduced else "stuck"
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
-    """Verdict plus one trace per equation-class representative."""
+def _fire_digit(remaining: Sequence[Triple], position: int, digit: int):
+    """One application of the digit rule at (position, digit).
 
-    reducible: bool
-    traces: tuple[tuple[int, ReductionTrace], ...]  # (b, trace)
+    The rule applies when ``digit`` occurs in no remaining triple at
+    ``position`` (1-based) but still occurs somewhere. Returns the removed
+    triples and the survivors, or None when the rule does not apply.
+    """
+    if any(t[position - 1] == digit for t in remaining):
+        return None
+    removed = tuple(t for t in remaining if digit in t)
+    if not removed:
+        return None  # digit gone entirely: rule is vacuous
+    return removed, [t for t in remaining if digit not in t]
 
 
 def digit_reduce(
@@ -84,31 +86,24 @@ def digit_reduce(
         (r, d) for r in (1, 2, 3) for d in pair.fixed
     ]
     steps: list[DigitStep] = []
-    progressed = True
-    while remaining and progressed:
-        progressed = False
-        for r, d in order:
-            if any(t[r - 1] == d for t in remaining):
-                continue
-            if not any(d in t for t in remaining):
-                continue  # digit gone entirely: rule is vacuous
-            removed = tuple(t for t in remaining if d in t)
-            remaining = [t for t in remaining if d not in t]
-            steps.append(DigitStep(r, d, removed))
-            progressed = True
+    while remaining:
+        fired = next(((r, d, f) for r, d in order
+                      if (f := _fire_digit(remaining, r, d)) is not None), None)
+        if fired is None:
             break
+        r, d, (removed, remaining) = fired
+        steps.append(DigitStep(r, d, removed))
     return ReductionTrace("digit", tuple(steps), not remaining)
 
 
-def digit_reducible(pair: DigitSetPair) -> ReducibilityReport:
-    """True iff the digit rule empties the table for every representative b."""
-    traces = []
-    ok = True
-    for b in equation_classes(pair.p).representatives:
-        trace = digit_reduce(pair, make_line_equation(pair.p, b))
-        traces.append((b, trace))
-        ok = ok and trace.reduced
-    return ReducibilityReport(ok, tuple(traces))
+def pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """Gauss-Jordan pivot in place: make ``rows[r][col]`` 1, clear ``col`` elsewhere."""
+    lead = rows[r][col]
+    rows[r] = [v / lead for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            f = row[col]
+            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
 
 
 def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
@@ -119,16 +114,11 @@ def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     n_rows, n_cols = len(m), len(m[0])
     piv_row = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(piv_row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
+        found = next((r for r in range(piv_row, n_rows) if m[r][col] != 0), None)
+        if found is None:
             continue
-        m[piv_row], m[pivot] = m[pivot], m[piv_row]
-        lead = m[piv_row][col]
-        m[piv_row] = [v / lead for v in m[piv_row]]
-        for r in range(n_rows):
-            if r != piv_row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[piv_row])]
+        m[piv_row], m[found] = m[found], m[piv_row]
+        pivot(m, piv_row, col)
         piv_row += 1
         if piv_row == n_rows:
             break
@@ -137,6 +127,26 @@ def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
 
 def matrix_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
     return sum(1 for row in rref(matrix) if any(v != 0 for v in row))
+
+
+def _fire_row(work: list[list[Fraction]], surviving: list[int], i: int):
+    """One application of the matrix rule to row i of the echelon form.
+
+    The rule applies when the row is nonzero and all its entries share a
+    sign: its support is forced to 0 over the nonnegative orthant. Returns
+    the deleted columns (as original indices), the echelon form of the
+    survivors and the surviving original indices, or None when the rule
+    does not apply.
+    """
+    row = work[i]
+    support = [j for j, v in enumerate(row) if v != 0]
+    if not support or not (all(v >= 0 for v in row) or all(v <= 0 for v in row)):
+        return None
+    drop = set(support)
+    keep = [j for j in range(len(surviving)) if j not in drop]
+    return (tuple(surviving[j] for j in support),
+            rref([[r[j] for j in keep] for r in work]),
+            [surviving[j] for j in keep])
 
 
 def matrix_reduce(system: ConstraintSystem) -> ReductionTrace:
@@ -151,58 +161,13 @@ def matrix_reduce(system: ConstraintSystem) -> ReductionTrace:
     work = rref(system.matrix)
     steps: list[MatrixStep] = []
     while surviving:
-        fired = None
-        for i, row in enumerate(work):
-            support = [j for j, v in enumerate(row) if v != 0]
-            if not support:
-                continue
-            if all(v >= 0 for v in row) or all(v <= 0 for v in row):
-                fired = (i, support)
-                break
+        fired = next(((i, f) for i in range(len(work))
+                      if (f := _fire_row(work, surviving, i)) is not None), None)
         if fired is None:
             break
-        i, support = fired
-        steps.append(MatrixStep(i, tuple(surviving[j] for j in support)))
-        drop = set(support)
-        keep = [j for j in range(len(surviving)) if j not in drop]
-        surviving = [surviving[j] for j in keep]
-        work = rref([[row[j] for j in keep] for row in work])
+        i, (columns, work, surviving) = fired
+        steps.append(MatrixStep(i, columns))
     return ReductionTrace("matrix", tuple(steps), not surviving)
-
-
-def matrix_reducible(pair: DigitSetPair) -> ReducibilityReport:
-    """True iff the matrix rule deletes every column for every representative b."""
-    traces = []
-    ok = True
-    for b in equation_classes(pair.p).representatives:
-        table = enumerate_progressions(pair, make_line_equation(pair.p, b))
-        trace = matrix_reduce(build_constraint_system(table))
-        traces.append((b, trace))
-        ok = ok and trace.reduced
-    return ReducibilityReport(ok, tuple(traces))
-
-
-@dataclass(frozen=True)
-class CombinedReport:
-    reducible: bool
-    results: tuple[tuple[int, str, ReductionTrace], ...]  # (b, method, trace)
-
-
-def combined_reducible(pair: DigitSetPair) -> CombinedReport:
-    """Allow choosing digit or matrix reduction per equation representative."""
-    results = []
-    ok = True
-    for b in equation_classes(pair.p).representatives:
-        eq = make_line_equation(pair.p, b)
-        trace = digit_reduce(pair, eq)
-        method = "digit"
-        if not trace.reduced:
-            table = enumerate_progressions(pair, eq)
-            trace = matrix_reduce(build_constraint_system(table))
-            method = "matrix"
-        results.append((b, method, trace))
-        ok = ok and trace.reduced
-    return CombinedReport(ok, tuple(results))
 
 
 def verify_digit_trace(pair: DigitSetPair, eq: LineEquation,
@@ -216,12 +181,10 @@ def verify_digit_trace(pair: DigitSetPair, eq: LineEquation,
             return False
         if step.digit not in pair.fixed:
             return False
-        if any(t[step.position - 1] == step.digit for t in remaining):
+        fired = _fire_digit(remaining, step.position, step.digit)
+        if fired is None or set(fired[0]) != set(step.removed):
             return False
-        hit = tuple(t for t in remaining if step.digit in t)
-        if not hit or set(hit) != set(step.removed):
-            return False
-        remaining = [t for t in remaining if step.digit not in t]
+        remaining = fired[1]
     return (not remaining) == trace.reduced
 
 
@@ -234,31 +197,36 @@ def verify_matrix_trace(system: ConstraintSystem, trace: ReductionTrace) -> bool
     for step in trace.steps:
         if not isinstance(step, MatrixStep) or not 0 <= step.row < len(work):
             return False
-        row = work[step.row]
-        support = [j for j, v in enumerate(row) if v != 0]
-        if not support:
+        fired = _fire_row(work, surviving, step.row)
+        if fired is None or fired[0] != tuple(step.columns):
             return False
-        if not (all(v >= 0 for v in row) or all(v <= 0 for v in row)):
-            return False
-        if tuple(surviving[j] for j in support) != tuple(step.columns):
-            return False
-        drop = set(support)
-        keep = [j for j in range(len(surviving)) if j not in drop]
-        surviving = [surviving[j] for j in keep]
-        work = rref([[r[j] for j in keep] for r in work])
+        _, work, surviving = fired
     return (not surviving) == trace.reduced
 
 
+def _ints(values, length: int | None = None) -> tuple[int, ...]:
+    if not isinstance(values, list) or not all(isinstance(v, int) for v in values) \
+            or length not in (None, len(values)):
+        raise ValueError(f"expected a list of integers, got {values!r}")
+    return tuple(values)
+
+
 def trace_from_jsonable(data: dict) -> ReductionTrace:
-    steps: list = []
-    for s in data["steps"]:
-        if "digit" in s:
-            steps.append(DigitStep(s["position"], s["digit"],
-                                   tuple(tuple(t) for t in s["removed"])))
-        else:
-            steps.append(MatrixStep(s["row"], tuple(s["columns"])))
-    return ReductionTrace(data["kind"], tuple(steps),
-                          data["verdict"] == "reduced-to-empty")
+    """Inverse of ``trace_to_jsonable``; raises ValueError on a wrong shape."""
+    try:
+        steps: list = []
+        for s in data["steps"]:
+            if "digit" in s:
+                position, digit = _ints([s["position"], s["digit"]])
+                steps.append(DigitStep(position, digit,
+                                       tuple(_ints(t, 3) for t in s["removed"])))
+            else:
+                (row,) = _ints([s["row"]])
+                steps.append(MatrixStep(row, _ints(s["columns"])))
+        return ReductionTrace(data["kind"], tuple(steps),
+                              data["verdict"] == "reduced-to-empty")
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed reduction trace: {exc!r}") from exc
 
 
 def trace_to_jsonable(trace: ReductionTrace) -> dict:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -147,14 +149,22 @@ def render_report(report: SearchReport) -> str:
 
 
 def store_certificate(payload: dict, directory) -> str:
-    """Write a JSON payload content-addressed by its SHA-256; returns the hash."""
+    """Write a JSON payload content-addressed by its SHA-256; returns the hash.
+
+    The file appears under its hash name only once complete (written to a
+    temporary file, then renamed), and a stored file whose bytes do not
+    hash to its name, such as one torn by a crash, is written again.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    digest = hashlib.sha256(blob.encode()).hexdigest()
+    blob = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    digest = hashlib.sha256(blob).hexdigest()
     path = directory / f"{digest}.json"
-    if not path.exists():
-        path.write_text(blob)
+    if not path.exists() or hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=digest, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
     return digest
 
 
@@ -194,16 +204,25 @@ def _sweep_worker(args) -> dict:
 
 
 class _Checkpoint:
-    """Append-only JSONL store of candidate verdicts, keyed by (size, digits)."""
+    """Append-only JSONL store of candidate verdicts, keyed by (size, digits).
+
+    A kill can tear only the last line, which then lacks its newline: that
+    line is dropped and cut from the file before appending, and its
+    candidate is checked again. Any other unparseable line is an error.
+    """
 
     def __init__(self, path) -> None:
         self.path = Path(path) if path else None
         self.records: dict[tuple[int, tuple[int, ...]], dict] = {}
         if self.path and self.path.exists():
-            for line in self.path.read_text().splitlines():
+            data = self.path.read_bytes()
+            complete = data.rfind(b"\n") + 1
+            for line in data[:complete].decode().splitlines():
                 if line.strip():
                     rec = json.loads(line)
                     self.records[(rec["size"], tuple(rec["digits"]))] = rec
+            if complete < len(data):
+                os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None
 
     def get(self, size: int, digits: tuple[int, ...]):

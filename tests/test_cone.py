@@ -4,17 +4,20 @@ from fractions import Fraction
 import pytest
 
 import golden as G
-from oracles import minimal_witnesses
+from oracles import (
+    cone_admissible,
+    cone_certificates,
+    digit_reducible,
+    matrix_reducible,
+    minimal_witnesses,
+)
 from affinecaps import (
-    admissible,
     build_constraint_system,
     cone_trivial,
     digit_pair,
-    digit_reducible,
     enumerate_progressions,
     integer_oracle,
     make_line_equation,
-    matrix_reducible,
     verify_certificate,
 )
 from affinecaps.cone import InstanceTooLarge
@@ -63,21 +66,20 @@ def test_verify_rejects_bad_witness():
 
 
 def test_p23_published_pair_admissible_with_four_certificates():
-    report = admissible(digit_pair(23, G.P23_DIGITS, G.P23_FIXED))
-    assert report.admissible
-    assert [b for b, _ in report.certificates] == [1, 2, 3, 4]
-    for b, cert in report.certificates:
+    certs = cone_certificates(digit_pair(23, G.P23_DIGITS, G.P23_FIXED))
+    assert list(certs) == [1, 2, 3, 4]
+    for b, cert in certs.items():
         assert cert.trivial
         assert verify_certificate(system_for(23, G.P23_DIGITS, G.P23_FIXED, b), cert)
 
 
 def test_all_published_pairs_admissible():
     for p, (digits, fixed) in G.PUBLISHED_PAIRS.items():
-        assert admissible(digit_pair(p, digits, fixed)).admissible
+        assert cone_admissible(digit_pair(p, digits, fixed))
 
 
 def test_p5_smallest_case_admissible():
-    assert admissible(digit_pair(5, (0, 1, 2))).admissible
+    assert cone_admissible(digit_pair(5, (0, 1, 2)))
 
 
 def test_p13_size5_samples_inadmissible():
@@ -86,13 +88,11 @@ def test_p13_size5_samples_inadmissible():
 
     all_sets = [(0, 1) + rest for rest in combinations(range(2, 13), 3)]
     for digits in rng.sample(all_sets, 12):
-        report = admissible(digit_pair(13, digits))
-        assert not report.admissible
-        refuting = [c for _, c in report.certificates if not c.trivial]
+        certs = cone_certificates(digit_pair(13, digits))
+        refuting = {b: c for b, c in certs.items() if not c.trivial}
         assert refuting and all(
-            verify_certificate(
-                system_for(13, digits, digits, b), c
-            ) for b, c in report.certificates if not c.trivial
+            verify_certificate(system_for(13, digits, digits, b), c)
+            for b, c in refuting.items()
         )
 
 
@@ -167,23 +167,21 @@ def test_monotone_in_fixed_digits():
         digits = tuple(sorted(rng.sample(range(p), rng.randint(2, min(5, p - 1)))))
         small = tuple(sorted(rng.sample(digits, rng.randint(0, len(digits)))))
         extra = tuple(sorted(set(small) | set(rng.sample(digits, rng.randint(0, len(digits))))))
-        if admissible(digit_pair(p, digits, small)).admissible:
-            assert admissible(digit_pair(p, digits, extra)).admissible
+        if cone_admissible(digit_pair(p, digits, small)):
+            assert cone_admissible(digit_pair(p, digits, extra))
 
 
 def test_reducibility_implies_cone_trivial():
     for p, (digits, fixed) in G.PUBLISHED_PAIRS.items():
         pair = digit_pair(p, digits, fixed)
-        if digit_reducible(pair).reducible or matrix_reducible(pair).reducible:
-            assert admissible(pair).admissible
+        if digit_reducible(pair) or matrix_reducible(pair):
+            assert cone_admissible(pair)
 
 
 def test_empty_fixed_set_detects_progressions():
     # with nothing pinned the cone is nontrivial as soon as any progression exists
-    report = admissible(digit_pair(11, (0, 1, 3, 4, 5), ()))
-    assert not report.admissible
-    report2 = admissible(digit_pair(5, (0, 1), ()))
-    assert report2.admissible  # no progressions at all
+    assert not cone_admissible(digit_pair(11, (0, 1, 3, 4, 5), ()))
+    assert cone_admissible(digit_pair(5, (0, 1), ()))  # no progressions at all
 
 
 def test_certificates_use_exact_rationals():

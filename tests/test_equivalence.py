@@ -3,14 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from affinecaps import admissible, digit_pair
+from oracles import brute_normalize, cone_admissible
+from affinecaps import digit_pair
 from affinecaps.equivalence import (
     affine_equivalent,
     classify,
     difference_multiset,
     fingerprint,
 )
-from affinecaps.zp import affine_image
+from affinecaps.zp import affine_image, gap_sequence, normalize_digit_set
 
 
 def test_difference_multiset_examples():
@@ -83,7 +84,6 @@ def test_classify_p5_three_subsets():
     result = classify(list(combinations(range(5), 3)), 5)
     assert len(result.classes) == 1
     assert result.classes[0].representative == (0, 1, 2)
-    assert not result.fingerprint_conflicts
 
 
 def test_classify_p11_sample():
@@ -100,7 +100,9 @@ def test_classify_p11_sample():
     grouped = {frozenset(cls.members) for cls in result.classes}
     assert frozenset({(0, 1, 2, 3, 4), (0, 1, 2, 6, 7)}) in grouped
     assert frozenset({(0, 1, 2, 6, 8), (0, 1, 2, 8, 9)}) in grouped
-    assert not result.fingerprint_conflicts
+    for cls in result.classes:
+        assert all(affine_equivalent(m, cls.representative, 11) is not None
+                   for m in cls.members)
 
 
 def test_classify_singleton():
@@ -129,10 +131,36 @@ def test_affine_maps_preserve_admissibility():
         digits = tuple(sorted(rng.sample(range(p), rng.randint(2, 4))))
         fixed = tuple(sorted(rng.sample(digits, rng.randint(0, len(digits)))))
         pair = digit_pair(p, digits, fixed)
-        if not admissible(pair).admissible:
+        if not cone_admissible(pair):
             continue
         a, b = rng.randint(1, p - 1), rng.randrange(p)
         image = digit_pair(p, affine_image(digits, a, b, p),
                            affine_image(fixed, a, b, p) if fixed else ())
-        assert admissible(image).admissible
+        assert cone_admissible(image)
         done += 1
+
+
+def test_normal_form_matches_the_affine_map_scan():
+    # every digit set containing 0 and 1 at p <= 13, except all of Z_p: the
+    # least rotation of the gap sequences gives the least affine image, and
+    # the fingerprint is its gap sequence, so equal fingerprints mean
+    # affinely equivalent sets
+    checked = 0
+    for p in (5, 7, 11, 13):
+        for size in range(2, p):
+            for rest in combinations(range(2, p), size - 2):
+                digits = (0, 1) + rest
+                canon = brute_normalize(digits, p)
+                assert normalize_digit_set(digits, p) == canon, (p, digits)
+                assert fingerprint(digits, p) == gap_sequence(canon, p)
+                checked += 1
+    assert checked == 2596
+
+
+def test_digits_outside_the_residues_are_rejected():
+    with pytest.raises(ValueError):
+        classify([(0, 1, 11)], 11)
+    with pytest.raises(ValueError):
+        normalize_digit_set((-1, 0, 1), 11)
+    with pytest.raises(ValueError):
+        fingerprint((), 11)

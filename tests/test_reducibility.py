@@ -2,18 +2,17 @@ import random
 from fractions import Fraction
 
 import golden as G
+from oracles import combined_reducible, digit_reducible, matrix_reducible
 from affinecaps import (
     build_constraint_system,
-    combined_reducible,
     digit_pair,
     digit_reduce,
-    digit_reducible,
     enumerate_progressions,
     make_line_equation,
     matrix_reduce,
-    matrix_reducible,
     rref,
 )
+from affinecaps.search import check_pair
 from affinecaps.reducibility import (
     matrix_rank,
     verify_digit_trace,
@@ -53,14 +52,12 @@ def test_empty_table_reduces_trivially():
 
 def test_digit_reducible_published_pairs():
     for p in (11, 17, 29, 41):
-        report = digit_reducible(pair_for(p))
-        assert report.reducible
-        assert all(t.reduced for _, t in report.traces)
+        assert digit_reducible(pair_for(p))
 
 
 def test_digit_reducible_fails_for_p23():
-    assert not digit_reducible(pair_for(23)).reducible
-    assert not digit_reducible(digit_pair(23, G.P23_DIGITS)).reducible
+    assert not digit_reducible(pair_for(23))
+    assert not digit_reducible(digit_pair(23, G.P23_DIGITS))
 
 
 def test_rref_basics():
@@ -80,8 +77,7 @@ def test_rref_p23_rank_and_canonical_form():
 
 def test_matrix_reduce_p23_full_fixed():
     pair = digit_pair(23, G.P23_DIGITS)
-    report = matrix_reducible(pair)
-    assert report.reducible
+    assert matrix_reducible(pair)
     table = enumerate_progressions(pair, make_line_equation(23, 21))
     trace = matrix_reduce(build_constraint_system(table))
     assert trace.reduced
@@ -90,14 +86,11 @@ def test_matrix_reduce_p23_full_fixed():
 
 
 def test_matrix_reduce_not_for_p17():
-    report = matrix_reducible(pair_for(17))
-    assert not report.reducible
-    stuck = {b for b, t in report.traces if not t.reduced}
-    assert stuck  # at least one representative resists
+    assert not matrix_reducible(pair_for(17))  # at least one representative resists
 
 
 def test_matrix_reducible_p11():
-    assert matrix_reducible(pair_for(11)).reducible
+    assert matrix_reducible(pair_for(11))
 
 
 def test_zero_column_matrix_is_reduced():
@@ -109,10 +102,9 @@ def test_zero_column_matrix_is_reduced():
 
 
 def test_combined_subsumes_both_methods():
-    assert combined_reducible(pair_for(11)).reducible
-    assert combined_reducible(digit_pair(23, G.P23_DIGITS)).reducible
-    report = combined_reducible(pair_for(23))
-    assert not report.reducible  # |D'| = 7 resists both methods on some b
+    assert combined_reducible(pair_for(11))
+    assert combined_reducible(digit_pair(23, G.P23_DIGITS))
+    assert not combined_reducible(pair_for(23))  # |D'| = 7 resists both methods on some b
 
 
 def test_pair_reducible_only_by_mixing_methods():
@@ -121,11 +113,10 @@ def test_pair_reducible_only_by_mixing_methods():
     # digit rule, so neither single method reduces the pair but the
     # combination does
     pair = digit_pair(17, (0, 1, 3, 11, 14, 16), (0, 1, 14, 16))
-    assert not digit_reducible(pair).reducible
-    assert not matrix_reducible(pair).reducible
-    report = combined_reducible(pair)
-    assert report.reducible
-    methods = {b: m for b, m, _ in report.results}
+    assert not digit_reducible(pair)
+    assert not matrix_reducible(pair)
+    assert combined_reducible(pair)
+    methods = {o.b: o.method for o in check_pair(pair).outcomes}
     assert methods[1] == "matrix" and methods[2] == "digit"
 
 
@@ -174,7 +165,9 @@ def test_digit_verdict_is_scan_order_independent():
         order = [(r, d) for r in (1, 2, 3) for d in fixed]
         for _ in range(3):
             rng.shuffle(order)
-            assert digit_reduce(pair, eq, scan_order=order).reduced == base
+            trace = digit_reduce(pair, eq, scan_order=order)
+            assert trace.reduced == base
+            assert verify_digit_trace(pair, eq, trace)  # any firing order replays
 
 
 def test_matrix_deletions_are_sound():

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 import golden as G
-from affinecaps import admissible, digit_pair, normalize_digit_set
+from oracles import cone_admissible
+from affinecaps import digit_pair, normalize_digit_set
 from affinecaps.search import (
     SearchBudget,
     candidates,
@@ -14,6 +15,7 @@ from affinecaps.search import (
     max_admissible_size,
     minimize_fixed_digits,
     render_report,
+    store_certificate,
 )
 
 
@@ -104,6 +106,17 @@ def test_sweep_checkpoint_resume_byte_identical(tmp_path):
     assert resumed.candidates_examined == fresh.candidates_examined
 
 
+def test_store_certificate_repairs_a_torn_file(tmp_path):
+    payload = {"p": 7, "digits": [0, 1, 2], "method": "cone"}
+    digest = store_certificate(payload, tmp_path)
+    path = tmp_path / f"{digest}.json"
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-20])  # a crash in the middle of the write
+    assert store_certificate(payload, tmp_path) == digest
+    assert path.read_bytes() == whole
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]  # no temporary left
+
+
 def test_sweep_deterministic_reports():
     a = render_report(max_admissible_size(7))
     b = render_report(max_admissible_size(7))
@@ -140,10 +153,10 @@ def test_monotone_refutation():
     while found < 8:
         p = rng.choice((7, 11, 13))
         digits = tuple(sorted(rng.sample(range(p), rng.randint(3, 5))))
-        if admissible(digit_pair(p, digits)).admissible:
+        if cone_admissible(digit_pair(p, digits)):
             continue
         for fixed in combinations(digits, rng.randint(0, len(digits) - 1)):
-            assert not admissible(digit_pair(p, digits, fixed)).admissible
+            assert not cone_admissible(digit_pair(p, digits, fixed))
         found += 1
 
 
