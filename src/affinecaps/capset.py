@@ -104,12 +104,18 @@ class CapCheck:
 
 
 def _as_point_array(points, p: int | None):
+    """Sorted distinct points and the modulus; raw points must lie in [0, p)^n."""
     if isinstance(points, CapPointSet):
         return points.points, int(points.p)
     if p is None:
         raise ValueError("p is required for a raw point collection")
+    p = int(p)
     pts = tuple(sorted(set(tuple(int(v) for v in q) for q in points)))
-    return pts, int(p)
+    if len({len(q) for q in pts}) > 1:
+        raise ValueError("points must share one dimension")
+    if any(not 0 <= v < p for q in pts for v in q):
+        raise ValueError(f"point coordinates must lie in [0, {p})")
+    return pts, p
 
 
 def verify_cap(points, p: int | None = None) -> CapCheck:
@@ -126,8 +132,6 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
     if n_pts <= 2:
         return CapCheck(True)
     n = len(pts[0])
-    if any(len(q) != n for q in pts):
-        raise ValueError("points must share one dimension")
 
     if p ** n > 2 ** 62:  # integer keys would overflow int64
         return _verify_cap_slow(pts, p)

@@ -5,10 +5,13 @@ nonnegative integer solution of the balance equations. Because the system is
 homogeneous, a nonzero nonnegative rational point scales to an integer one,
 so the integer question is decided exactly by rational linear programming:
 the cone is trivial iff {A x = 0, sum(x) = 1, x >= 0} is infeasible. A
-phase-one simplex over Fractions with Bland's rule always terminates and
-yields either a feasible point (scaled to an integer witness) or simplex
-multipliers that turn into a dual vector y with A^T y >= 1, which proves
-triviality by 0 = y^T A x >= sum(x) for any x >= 0 in the cone.
+phase-one simplex with Bland's rule always terminates and yields either a
+feasible point (scaled to an integer witness) or simplex multipliers that
+turn into a dual vector y with A^T y >= 1, which proves triviality by
+0 = y^T A x >= sum(x) for any x >= 0 in the cone. The simplex runs on an
+integer tableau over one common denominator, pivoted by the fraction-free
+``reducibility.pivot``; Fractions appear only in the returned point or
+multipliers.
 """
 
 from __future__ import annotations
@@ -53,46 +56,44 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     normalization row last).
     """
     m = len(a_rows) + 1
-    # columns: n_cols original variables, m artificials, then the RHS; rows:
-    # the m constraints, then the objective z_j - c_j for min sum(artificials)
+    # integer tableau over the common denominator det; columns: n_cols
+    # original variables, m artificials, then the RHS; rows: the m
+    # constraints, then the objective z_j - c_j for min sum(artificials)
     # with the objective value last
-    tab: list[list[Fraction]] = []
-    for row in a_rows:
-        tab.append([Fraction(v) for v in row]
-                   + [Fraction(0)] * m + [Fraction(0)])
-    tab.append([Fraction(1)] * n_cols + [Fraction(0)] * m + [Fraction(1)])
+    tab = [[int(v) for v in row] + [0] * (m + 1) for row in a_rows]
+    tab.append([1] * n_cols + [0] * m + [1])
     for i in range(m):
-        tab[i][n_cols + i] = Fraction(1)
+        tab[i][n_cols + i] = 1
     basis = [n_cols + i for i in range(m)]
     tab.append([sum(tab[i][j] for i in range(m)) for j in range(n_cols)]
-               + [Fraction(0)] * m + [Fraction(1)])
+               + [0] * m + [1])
+    det = 1
 
     while True:
         obj = tab[m]
         enter = next((j for j in range(n_cols + m) if obj[j] > 0), None)
         if enter is None:
             break
+        # Bland's ratio test: least rhs/coeff over positive coeffs, compared
+        # by cross-multiplication, ties to the least basic variable
         leave = None
-        best = None
         for i in range(m):
             coeff = tab[i][enter]
-            if coeff > 0:
-                ratio = tab[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            if coeff > 0 and (leave is None or (tab[i][-1] * tab[leave][enter], basis[i])
+                              < (tab[leave][-1] * coeff, basis[leave])):
+                leave = i
         if leave is None:  # cannot happen: objective is bounded below by 0
             raise RuntimeError("phase-one objective unbounded")
-        pivot(tab, leave, enter)
+        det = pivot(tab, leave, enter, det)  # positive pivot keeps det > 0
         basis[leave] = enter
 
     if obj[-1] > 0:
-        multipliers = tuple(obj[n_cols + i] + 1 for i in range(m))
+        multipliers = tuple(Fraction(obj[n_cols + i], det) + 1 for i in range(m))
         return "infeasible", multipliers
     x = [Fraction(0)] * n_cols
     for i, var in enumerate(basis):
         if var < n_cols:
-            x[var] = tab[i][-1]
+            x[var] = Fraction(tab[i][-1], det)
     return "feasible", tuple(x)
 
 

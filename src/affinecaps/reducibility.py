@@ -9,6 +9,7 @@ equation-class representative certifies admissibility of the pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -96,33 +97,57 @@ def digit_reduce(
     return ReductionTrace("digit", tuple(steps), not remaining)
 
 
-def pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
-    """Gauss-Jordan pivot in place: make ``rows[r][col]`` 1, clear ``col`` elsewhere."""
-    lead = rows[r][col]
-    rows[r] = [v / lead for v in rows[r]]
+def pivot(rows: list[list[int]], r: int, col: int, det: int) -> int:
+    """Fraction-free Gauss-Jordan pivot on ``rows[r][col]``, in place.
+
+    The integer rows share the nonzero denominator ``det``: the tableau they
+    stand for is rows / det. Every other row becomes
+    (row * a - row[col] * rows[r]) / det with a = rows[r][col], an exact
+    division (Bareiss, Math. Comp. 1968), so column ``col`` becomes a unit
+    column and the returned new common denominator is a. A row with a zero
+    in ``col`` is only rescaled by a / det, and left alone when a == det.
+    """
+    lead = rows[r]
+    a = lead[col]
     for i, row in enumerate(rows):
-        if i != r and row[col] != 0:
-            f = row[col]
-            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [(v * a - f * w) // det for v, w in zip(row, lead)]
+        elif a != det:
+            rows[i] = [v * a // det for v in row]
+    return a
 
 
 def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over exact rationals."""
-    m = [[Fraction(v) for v in row] for row in matrix]
+    """Reduced row echelon form over exact rationals.
+
+    Each row is first scaled by the least common multiple of its
+    denominators, which leaves the echelon form unchanged; the elimination
+    then runs on integers and divides by the common denominator at the end.
+    """
+    m = []
+    for row in matrix:
+        scale = math.lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
     if not m:
         return []
     n_rows, n_cols = len(m), len(m[0])
+    det = 1
     piv_row = 0
     for col in range(n_cols):
         found = next((r for r in range(piv_row, n_rows) if m[r][col] != 0), None)
         if found is None:
             continue
         m[piv_row], m[found] = m[found], m[piv_row]
-        pivot(m, piv_row, col)
+        det = pivot(m, piv_row, col, det)
         piv_row += 1
         if piv_row == n_rows:
             break
-    return m
+    memo: dict[int, Fraction] = {}  # an echelon form repeats few values
+    return [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, det)) for v in row]
+            for row in m]
 
 
 def matrix_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:

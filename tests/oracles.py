@@ -19,10 +19,17 @@ compare their verdicts with each other and with the pipeline.
 
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
 least image of a digit set, the reference for ``normalize_digit_set``.
+
+``fraction_rref`` and ``fraction_phase_one`` are the elimination and the
+phase-one simplex carried out over ``Fraction`` entries, one division per
+pivot. They are the references for the fraction-free integer kernel of the
+package (``reducibility.rref``, ``cone._phase_one``), which must reproduce
+them exactly: the same echelon form, and the same status and vector.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -115,3 +122,69 @@ def combined_reducible(pair) -> bool:
 def brute_normalize(digits, p: int) -> tuple[int, ...]:
     """Lexicographically least image of the digit set over all affine maps."""
     return min(affine_image(digits, a, b, p) for a in range(1, p) for b in range(p))
+
+
+def _fraction_pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """Gauss-Jordan pivot in place: make ``rows[r][col]`` 1, clear ``col`` elsewhere."""
+    lead = rows[r][col]
+    rows[r] = [v / lead for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            f = row[col]
+            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+
+
+def fraction_rref(matrix) -> list[list[Fraction]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    if not m:
+        return []
+    n_rows, n_cols = len(m), len(m[0])
+    piv_row = 0
+    for col in range(n_cols):
+        found = next((r for r in range(piv_row, n_rows) if m[r][col] != 0), None)
+        if found is None:
+            continue
+        m[piv_row], m[found] = m[found], m[piv_row]
+        _fraction_pivot(m, piv_row, col)
+        piv_row += 1
+        if piv_row == n_rows:
+            break
+    return m
+
+
+def fraction_phase_one(a_rows, n_cols: int):
+    """Phase-one simplex with Bland's rule over a Fraction tableau.
+
+    Same contract as ``cone._phase_one``: ("feasible", x) or
+    ("infeasible", simplex multipliers, normalization row last).
+    """
+    m = len(a_rows) + 1
+    tab = [[Fraction(v) for v in row] + [Fraction(0)] * (m + 1) for row in a_rows]
+    tab.append([Fraction(1)] * n_cols + [Fraction(0)] * m + [Fraction(1)])
+    for i in range(m):
+        tab[i][n_cols + i] = Fraction(1)
+    basis = [n_cols + i for i in range(m)]
+    tab.append([sum(tab[i][j] for i in range(m)) for j in range(n_cols)]
+               + [Fraction(0)] * m + [Fraction(1)])
+    while True:
+        obj = tab[m]
+        enter = next((j for j in range(n_cols + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            coeff = tab[i][enter]
+            if coeff > 0:
+                ratio = tab[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        _fraction_pivot(tab, leave, enter)
+        basis[leave] = enter
+    if obj[-1] > 0:
+        return "infeasible", tuple(obj[n_cols + i] + 1 for i in range(m))
+    x = [Fraction(0)] * n_cols
+    for i, var in enumerate(basis):
+        if var < n_cols:
+            x[var] = tab[i][-1]
+    return "feasible", tuple(x)

@@ -87,6 +87,18 @@ def test_trivial_point_sets_pass():
     assert not verify_cap([(0, 0), (1, 1), (2, 2)], 5).ok
 
 
+@pytest.mark.parametrize("points", [
+    [(0, 1, 2), (0, 1, 13)],
+    [(0, 1, 2), (0, 1, -1)],
+    [(0, 1, 2), (0, 1)],
+    [(0, 1), (1, 2), (3, 4, 5)],
+])
+def test_raw_points_outside_the_grid_are_rejected(points):
+    for check in (verify_cap, collinear_triple_naive):
+        with pytest.raises(ValueError):
+            check(points, 11)
+
+
 def test_pair_line_agrees_with_cubic_oracle():
     rng = random.Random(31415)
     for _ in range(12):

@@ -112,6 +112,18 @@ def test_verify_points_file_roundtrip(tmp_path, capsys):
     assert code == 1 and "violation" in out
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0 1 2\n0 1 13\n", "[0, 11)"),  # 13 is 2 mod 11: one point twice
+    ("0 1 2\n0 1\n", "one dimension"),
+])
+def test_verify_points_file_rejects_malformed_points(tmp_path, capsys, rows, message):
+    path = tmp_path / "points.txt"
+    path.write_text(rows)
+    code, out, err = run(capsys, "verify", "-p", "11", "--points-file", str(path))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_missing_arguments(capsys):
     code, _, err = run(capsys, "verify", "-p", "11")
     assert code == 2

@@ -1,0 +1,71 @@
+"""The fraction-free integer kernel against the Fraction reference.
+
+``reducibility.rref`` and ``cone._phase_one`` run on integer rows over one
+common denominator. Every pivot choice is decided by exact signs and
+comparisons, so both must return exactly what the textbook elimination and
+simplex over ``Fraction`` entries (``tests/oracles.py``) return.
+"""
+
+import random
+from fractions import Fraction
+
+from oracles import fraction_phase_one, fraction_rref
+from affinecaps import rref, search
+from affinecaps.cone import _phase_one
+from affinecaps.search import max_admissible_size
+
+
+def assert_same_rref(matrix):
+    got = rref(matrix)
+    assert got == fraction_rref(matrix)
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def assert_same_phase_one(matrix, n_cols):
+    got = _phase_one(matrix, n_cols)
+    assert got == fraction_phase_one(matrix, n_cols)
+    assert all(type(v) is Fraction for v in got[1])
+    return got[0]
+
+
+def test_random_sign_systems_match_the_fraction_reference():
+    rng = random.Random(404)
+    statuses = set()
+    for _ in range(600):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 10)
+        matrix = [[rng.choice((-1, 0, 1)) for _ in range(n_cols)] for _ in range(n_rows)]
+        assert_same_rref(matrix)
+        statuses.add(assert_same_phase_one(matrix, n_cols))
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_sweep_cone_systems_match_the_fraction_reference(monkeypatch):
+    systems = []
+
+    def recording_cone_trivial(system):
+        systems.append(system)
+        return cone_trivial(system)
+
+    cone_trivial = search.cone_trivial
+    monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
+    for p in (5, 7, 11, 13):
+        max_admissible_size(p)
+    assert len(systems) > 300
+    for system in systems:
+        assert_same_rref(system.matrix)
+        assert_same_phase_one(system.matrix, system.n_cols)
+
+
+def test_rref_of_fraction_rows_matches_the_fraction_reference():
+    rng = random.Random(405)
+    fractional = 0
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(2, 8)
+        # matrix_reduce passes column subsets of an earlier echelon form
+        echelon = rref([[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)])
+        fractional += any(v.denominator != 1 for row in echelon for v in row)
+        keep = sorted(rng.sample(range(n_cols), rng.randint(1, n_cols - 1)))
+        assert_same_rref([[row[j] for j in keep] for row in echelon])
+        assert_same_rref([[Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                           for _ in range(n_cols)] for _ in range(n_rows)])
+    assert fractional > 50

@@ -1,0 +1,82 @@
+"""Canonical bytes pinned across kernel changes.
+
+The report of a maximality sweep and the names of content-addressed
+certificates are part of the output contract: a change to the arithmetic
+inside the cone test or the echelon form must not move a byte. The values
+below were recorded with the ``Fraction`` elimination kernel that preceded
+the fraction-free one.
+"""
+
+import hashlib
+
+import pytest
+
+import golden as G
+from affinecaps import digit_pair
+from affinecaps.search import (
+    certificate_payload,
+    check_pair,
+    max_admissible_size,
+    render_report,
+    store_certificate,
+)
+
+# SHA-256 of render_report(max_admissible_size(p))
+REPORT_SHA256 = {
+    5: "12ba1f6f6e13e029bb406dc6fbef5a138b9113af054c4eb74edef706262f67f0",
+    7: "1701584ab1c55b91a29fd248a7d2670541950553962f8710dfe27676a0872dd8",
+    11: "a1ea5531f47eff04f7fe49f94718f7cb6288d4cee160b177a20a5e05321bdff8",
+    13: "d57a011ddc38b92ace5fb63163f8f63666a02bd0b3cbdd545cfc3901a5d75c61",
+}
+
+# store_certificate names of the check_pair outcomes of each published pair, in order
+PUBLISHED_CERTIFICATES = {
+    11: (
+        "3d23125b5b33400eee726569ce46394c39c48d3dbc2c40913a5cf23156b69cb2",
+        "460a554b53bd4f4e769e0d7508f73d75c5aa592c0e99a7418d10666001b1d5e8",
+    ),
+    17: (
+        "ab022f71d135119b1ef3904e44e1c9dff18387db7eb92371c6e90f19a2cdc3c5",
+        "a8bccf3883404c6550e89ba3f775fdaf025e735e24ac3d49a72f963e912fcb0a",
+        "51ce88581293b99b0722243f80242b9f8c13e938d31801f9fd197ae3c252d0df",
+    ),
+    23: (
+        "a4ca4db517350bd97f001e9ffbd784e6efeeb32da73eb865e855f13465b56411",
+        "77b82db3f3cd77c08461780a3e33069aa1b7843e732c77ecdd5bb80fcd5beb13",
+        "81a9d0a8f10bcdf08d0a2b208ce7d7710c1442b7ad2e871362419b359fb13a3e",
+        "20997a99207f3afcc5e017fa10f88a286fddccef5358b502c8a33d9162bac111",
+    ),
+    29: (
+        "de17aa1b904bdd47611ee37f5680ec669ad704066282e92dce8a5b01dbe1937a",
+        "f1fb60f6e9bb59efc40cbbe0b667d809605738939492ba7c00743574743ed492",
+        "89b694de9ddc5ded7689f44d38a38171f53413c84b70671a4e7e66d6de7b9ff9",
+        "803c0b03cd2c9f2a7b78ed83b9a1e8443797b24667ab0ecd3135ac82d20d205e",
+        "d9a10648858a6c46f4f6deda316ea9331059a505ca4d22f66c6aad7edc2c20e2",
+    ),
+    41: (
+        "18cb4962469ab11c68816d6bfc9d90ec88a3c130d0ddb91e8093a0ddbd237904",
+        "8507518cb51eeb14cbd4c138f907664a1307e3ab47018efefec1515573a5d3cd",
+        "5f9b7cb4f36ce917ac6b11c3c77d45bc9804a9900d6617f859c053a6a52a0413",
+        "05c9ff483a1c7bdb4281335ab2c3fa0d938e385c256fb3b4838b00397322ed23",
+        "0286d06973fd6ee339a721dd8b97bbccb0985e4f2e1afa73d1538b17588098e5",
+        "d40229540ebdd311954ef07b39c066138413d136700fbfdee56be427defaa37a",
+        "f0c1093395eb5d4551cde7dc3660d53dcadbd876ed268b148f30a336aa402ab3",
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(REPORT_SHA256))
+def test_sweep_report_bytes_are_pinned(p):
+    report = render_report(max_admissible_size(p)).encode()
+    assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[p]
+
+
+def test_published_pair_certificate_names_are_pinned(tmp_path):
+    assert sorted(PUBLISHED_CERTIFICATES) == sorted(G.PUBLISHED_PAIRS)
+    for p, (digits, fixed) in G.PUBLISHED_PAIRS.items():
+        pair = digit_pair(p, digits, fixed)
+        names = tuple(store_certificate(certificate_payload(pair, outcome), tmp_path / str(p))
+                      for outcome in check_pair(pair).outcomes)
+        assert names == PUBLISHED_CERTIFICATES[p], p
+        assert sorted(f.name for f in (tmp_path / str(p)).iterdir()) == \
+            sorted(f"{name}.json" for name in names)
