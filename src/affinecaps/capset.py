@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
@@ -104,9 +105,15 @@ class CapCheck:
 
 
 def _as_point_array(points, p: int | None):
-    """Sorted distinct points and the modulus; raw points must lie in [0, p)^n."""
+    """Sorted distinct points and the modulus; points must lie in [0, p)^n.
+
+    A CapPointSet is checked like a raw collection, since nothing stops one
+    from being built by hand.
+    """
     if isinstance(points, CapPointSet):
-        return points.points, int(points.p)
+        if p is not None and int(p) != points.p:
+            raise ValueError(f"modulus {p} conflicts with the point set's p = {points.p}")
+        points, p = points.points, points.p
     if p is None:
         raise ValueError("p is required for a raw point collection")
     p = int(p)
@@ -118,53 +125,74 @@ def _as_point_array(points, p: int | None):
     return pts, p
 
 
+def _scan_bases(arr: np.ndarray) -> np.ndarray:
+    """Rows a collinearity scan must start from: the sorted rows if the rows
+    are closed under coordinate permutations, else all of them.
+
+    Groups the rows by their sorted copy. The group of a sorted row r lies
+    in the orbit of r, which has n! / prod(m!) points for the
+    multiplicities m of the values in r, so the rows are closed exactly when
+    every group has that many.
+    """
+    n = arr.shape[1]
+    sorted_rows, counts = np.unique(np.sort(arr, axis=1), axis=0, return_counts=True)
+    for row, count in zip(sorted_rows.tolist(), counts.tolist()):
+        orbit = math.factorial(n)
+        for mult in Counter(row).values():
+            orbit //= math.factorial(mult)
+        if count != orbit:
+            return np.arange(len(arr))
+    return np.flatnonzero((arr[:, 1:] >= arr[:, :-1]).all(axis=1))
+
+
 def verify_cap(points, p: int | None = None) -> CapCheck:
     """Check that no three points are collinear.
 
-    For every pair of distinct points, walks the p - 2 remaining points of
-    the affine line through them and reports any that belongs to the set.
-    Vectorized over the partner point and the line parameter.
+    Directions: for a base point x, scale each difference y - x mod p so
+    that its first nonzero entry is 1. Distinct x, y, z are collinear
+    exactly when z - x = c (y - x) for some c, that is when y - x and z - x
+    scale to the same direction. So the scan encodes the directions from x
+    to the points after it as keys, sorts them and looks for a repeated
+    key; a triple is found from its least point. A key is the base-p code
+    of the direction, or its row bytes when p^n would overflow int64.
+
+    Orbits: coordinate permutations map lines to lines. If the set is
+    closed under them, take the image of a collinear triple under all
+    permutations and the least point of all those images: it is sorted
+    (sorting a point makes it lexicographically least in its orbit), and
+    its image triple lies in the set. So the sorted points are the only
+    bases needed. Closure is counted on the points themselves (see
+    ``_scan_bases``), never assumed from where they came from; otherwise
+    every point is a base.
+
+    The violation is three distinct points of the set that are collinear.
     """
     pts, p = _as_point_array(points, p)
     if not is_prime(p):
         raise ValueError(f"collinearity over Z_{p} needs a prime modulus")
-    n_pts = len(pts)
-    if n_pts <= 2:
+    if len(pts) <= 2:
         return CapCheck(True)
-    n = len(pts[0])
-
-    if p ** n > 2 ** 62:  # integer keys would overflow int64
-        return _verify_cap_slow(pts, p)
-
+    if p >= 2 ** 31:  # products of two residues must fit in int64
+        raise ValueError(f"the collinearity scan needs p < 2**31, got {p}")
     arr = np.array(pts, dtype=np.int64)
-    powers = np.array([p ** i for i in range(n)], dtype=np.int64)
-    keys = arr @ powers
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    ts = np.arange(2, p, dtype=np.int64)
-    for i in range(n_pts - 1):
-        base = arr[i]
-        diff = (arr[i + 1:] - base) % p
-        walked = (base[None, None, :] + ts[:, None, None] * diff[None, :, :]) % p
-        walked_keys = walked @ powers
-        pos = np.searchsorted(sorted_keys, walked_keys)
-        pos[pos == n_pts] = 0
-        hits = sorted_keys[pos] == walked_keys
-        if hits.any():
-            ti, ji = np.argwhere(hits)[0]
-            third = tuple(int(v) for v in walked[ti, ji])
-            return CapCheck(False, (pts[i], pts[i + 1 + int(ji)], third))
-    return CapCheck(True)
-
-
-def _verify_cap_slow(pts, p: int) -> CapCheck:
-    index = set(pts)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            for t in range(2, p):
-                w = tuple((a + t * (b - a)) % p for a, b in zip(x, y))
-                if w in index:
-                    return CapCheck(False, (x, y, w))
+    n = arr.shape[1]
+    # inverses mod p; a negative residue -a indexes entry p - a
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[1:] = [pow(v, -1, p) for v in range(1, p)]
+    wide = p ** n > 2 ** 62  # base-p codes would overflow int64
+    powers = None if wide else np.array([p ** i for i in range(n)], dtype=np.int64)
+    row_bytes = np.dtype((np.void, 8 * n))
+    for i in _scan_bases(arr):
+        diff = arr[i + 1:] - arr[i]  # entries in (-p, p)
+        lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+        dirs = diff * inverse[lead][:, None]
+        dirs -= dirs // p * p  # mod p; numpy's % is several times slower than //
+        keys = dirs.view(row_bytes).ravel() if wide else dirs @ powers
+        ordered = np.sort(keys)
+        repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if len(repeats):
+            j, k = np.flatnonzero(keys == ordered[repeats[0]])[:2]
+            return CapCheck(False, (pts[i], pts[i + 1 + j], pts[i + 1 + k]))
     return CapCheck(True)
 
 

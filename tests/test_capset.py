@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -7,6 +8,7 @@ import golden as G
 from oracles import cone_admissible, cone_certificates
 from affinecaps import digit_pair
 from affinecaps.capset import (
+    CapPointSet,
     EnumerationTooLarge,
     bose_cap,
     bound_table,
@@ -99,18 +101,93 @@ def test_raw_points_outside_the_grid_are_rejected(points):
             check(points, 11)
 
 
+def assert_agrees_with_oracle(points, p=None):
+    """verify_cap gives the oracle's verdict, and any triple it reports is
+    three distinct collinear points of the set."""
+    members = set(points.points if isinstance(points, CapPointSet) else points)
+    p = points.p if p is None else p
+    fast = verify_cap(points, p)
+    assert fast.ok == collinear_triple_naive(points, p).ok
+    if not fast.ok:
+        triple = fast.violation
+        assert len(set(triple)) == 3 and set(triple) <= members
+        assert not collinear_triple_naive(triple, p).ok
+    return fast
+
+
 def test_pair_line_agrees_with_cubic_oracle():
     rng = random.Random(31415)
     for _ in range(12):
         p = rng.choice((5, 7, 11))
         n = rng.randint(2, 4)
         pts = {tuple(rng.randrange(p) for _ in range(n)) for _ in range(40)}
-        fast = verify_cap(pts, p)
-        slow = collinear_triple_naive(pts, p)
-        assert fast.ok == slow.ok
-        if not fast.ok:
-            x, y, z = fast.violation
-            assert not collinear_triple_naive((x, y, z), p).ok
+        assert_agrees_with_oracle(pts, p)
+
+
+@pytest.mark.parametrize("p, n", [(5, 28), (3, 40)])
+def test_wide_vectors_agree_with_cubic_oracle(p, n):
+    assert p ** n > 2 ** 62  # too wide for an int64 base-p code
+    rng = random.Random(2718 + p)
+    for _ in range(4):
+        pts = sorted({tuple(rng.randrange(p) for _ in range(n)) for _ in range(40)})
+        assert assert_agrees_with_oracle(pts, p).ok
+        x, y = rng.sample(pts, 2)
+        planted = tuple((2 * b - a) % p for a, b in zip(x, y))
+        assert not assert_agrees_with_oracle(pts + [planted], p).ok
+
+
+def test_unclosed_cap_point_set_with_collinear_triple_is_rejected():
+    # No point of the collinear triple is sorted, and the set is not closed
+    # under coordinate permutations: only a full scan finds the triple.
+    triple = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
+    pts = tuple(sorted(triple + ((0, 1, 2), (0, 1, 4))))
+    fake = CapPointSet(5, 3, digit_pair(5, (0, 1, 2, 3)), pts)
+    assert not assert_agrees_with_oracle(fake).ok
+
+
+def test_permutation_closure_of_a_collinear_triple_is_rejected():
+    p = 7
+    x, d = (0, 1, 1, 4), (2, 0, 5, 1)
+    triple = [tuple((a + t * b) % p for a, b in zip(x, d)) for t in range(3)]
+    closure = sorted({q for t in triple for q in permutations(t)})
+    assert not assert_agrees_with_oracle(closure, p).ok
+    # without its sorted points the set is not closed, and a scan from the
+    # sorted points alone would start nowhere
+    unsorted = [q for q in closure if list(q) != sorted(q)]
+    assert not assert_agrees_with_oracle(unsorted, p).ok
+
+
+def test_built_caps_agree_with_cubic_oracle():
+    rng = random.Random(4242)
+    verdicts = set()
+    checked = 0
+    while checked < 12:
+        p = rng.choice((5, 7))
+        digits = tuple(sorted(rng.sample(range(p), rng.randint(2, 4))))
+        fixed = tuple(sorted(rng.sample(digits, rng.randint(0, len(digits)))))
+        pair = digit_pair(p, digits, fixed)
+        for n in (len(digits), 2 * len(digits)):
+            if 3 <= size_estimate(pair, n).exact_count <= 90:
+                verdicts.add(assert_agrees_with_oracle(build_cap(pair, n)).ok)
+                checked += 1
+    assert verdicts == {True, False}
+
+
+def test_conflicting_modulus_is_rejected():
+    cap = build_cap(PAIR11, 5)
+    with pytest.raises(ValueError):
+        verify_cap(cap, 13)
+    assert verify_cap(cap, 11).ok
+
+
+def test_hand_built_cap_point_sets_are_checked_like_raw_points():
+    pair = digit_pair(5, (0, 1, 2, 3))
+    # a repeated point is one point, not a collinear triple
+    doubled = CapPointSet(5, 2, pair, ((0, 1), (0, 2), (0, 2), (1, 0)))
+    assert assert_agrees_with_oracle(doubled).ok
+    for points in (((0, 1), (0, 7)), ((0, 1), (0, 2, 3))):
+        with pytest.raises(ValueError):
+            verify_cap(CapPointSet(5, 2, pair, points))
 
 
 def test_bose_cap_small_primes():
