@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .progressions import ConstraintSystem
-from .reducibility import pivot
+from .reducibility import clear_denominators, pivot
 
 
 class InstanceTooLarge(ValueError):
@@ -97,33 +97,44 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     return "feasible", tuple(x)
 
 
-def _dot_col(system: ConstraintSystem, j: int, y: Sequence[Fraction]) -> Fraction:
-    return sum(Fraction(system.matrix[i][j]) * y[i] for i in range(system.n_rows))
+def _col_sums(system: ConstraintSystem, y: Sequence[int]) -> list[int]:
+    """The integer vector A^T y."""
+    return [sum(system.matrix[i][j] * y[i] for i in range(system.n_rows))
+            for j in range(system.n_cols)]
 
 
 def cone_trivial(system: ConstraintSystem) -> ConeCertificate:
-    """Decide triviality of {x >= 0 : A x = 0} and return a certificate."""
+    """Decide triviality of {x >= 0 : A x = 0} and return a certificate.
+
+    The dual is -u / t for the multipliers u of the constraint rows and t > 0
+    of the normalization row, scaled to make min(A^T y) = 1; that is Y / s
+    for the integers Y = -u * lcm(denominators of u) and s = min(A^T Y).
+    """
     status, vec = _phase_one(system.matrix, system.n_cols)
     if status == "infeasible":
-        t = vec[-1]
+        *u, t = vec
         assert t > 0
-        y = tuple(-u / t for u in vec[:-1])
-        if system.n_cols:
-            scale = min(_dot_col(system, j, y) for j in range(system.n_cols))
-            y = tuple(v / scale for v in y)
-        return ConeCertificate("trivial", dual=y)
-    denom_lcm = math.lcm(*(v.denominator for v in vec)) if vec else 1
-    ints = [int(v * denom_lcm) for v in vec]
+        if not system.n_cols:
+            return ConeCertificate("trivial", dual=tuple(-v / t for v in u))
+        y, _ = clear_denominators([-v for v in u])
+        s = min(_col_sums(system, y))
+        return ConeCertificate("trivial", dual=tuple(Fraction(v, s) for v in y))
+    ints, _ = clear_denominators(vec)
     g = math.gcd(*ints)
     return ConeCertificate("nontrivial", witness=tuple(v // g for v in ints))
 
 
 def verify_certificate(system: ConstraintSystem, cert: ConeCertificate) -> bool:
-    """Re-check a certificate by direct multiplication."""
+    """Re-check a certificate by direct multiplication.
+
+    A dual y is checked as A^T Y >= L on the integers Y = y * L, with L the
+    least common multiple of its denominators.
+    """
     if cert.kind == "trivial":
         if cert.dual is None or len(cert.dual) != system.n_rows:
             raise ValueError("dual certificate has wrong dimension")
-        return all(_dot_col(system, j, cert.dual) >= 1 for j in range(system.n_cols))
+        y, denom = clear_denominators(cert.dual)
+        return all(v >= denom for v in _col_sums(system, y))
     if cert.kind == "nontrivial":
         if cert.witness is None or len(cert.witness) != system.n_cols:
             raise ValueError("witness has wrong dimension")

@@ -5,6 +5,12 @@ works on the progression triples directly; the matrix rule works on the
 reduced row echelon form of the constraint matrix, deleting columns forced
 to zero by single-signed rows. Either one reaching the empty state for every
 equation-class representative certifies admissibility of the pair.
+
+The matrix rule eliminates once. A row of a reduced row echelon form is zero
+at every pivot column but its own, so deleting the support of a row deletes
+exactly one pivot column and zeroes that row, while every other row keeps
+its unit pivot in the same leading place: the echelon form minus that row
+and those columns is the reduced row echelon form of the surviving columns.
 """
 
 from __future__ import annotations
@@ -120,21 +126,25 @@ def pivot(rows: list[list[int]], r: int, col: int, det: int) -> int:
     return a
 
 
-def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over exact rationals.
+def clear_denominators(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """The integers values * L and L, the least common multiple of the denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
-    Each row is first scaled by the least common multiple of its
-    denominators, which leaves the echelon form unchanged; the elimination
-    then runs on integers and divides by the common denominator at the end.
+
+def _eliminate(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination to reduced row echelon form.
+
+    Returns integer rows and their common denominator ``det`` (nonzero, of
+    either sign): rows / det is the reduced row echelon form. Each row is
+    first cleared of denominators, a row scaling that leaves the echelon
+    form unchanged.
     """
-    m = []
-    for row in matrix:
-        scale = math.lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
-    if not m:
-        return []
-    n_rows, n_cols = len(m), len(m[0])
+    m = [clear_denominators(row)[0] for row in matrix]
     det = 1
+    if not m:
+        return m, det
+    n_rows, n_cols = len(m), len(m[0])
     piv_row = 0
     for col in range(n_cols):
         found = next((r for r in range(piv_row, n_rows) if m[r][col] != 0), None)
@@ -145,6 +155,12 @@ def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
         piv_row += 1
         if piv_row == n_rows:
             break
+    return m, det
+
+
+def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
+    """Reduced row echelon form over exact rationals."""
+    m, det = _eliminate(matrix)
     memo: dict[int, Fraction] = {}  # an echelon form repeats few values
     return [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, det)) for v in row]
             for row in m]
@@ -154,36 +170,39 @@ def matrix_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
     return sum(1 for row in rref(matrix) if any(v != 0 for v in row))
 
 
-def _fire_row(work: list[list[Fraction]], surviving: list[int], i: int):
+def _fire_row(work: list[list[int]], surviving: list[int], i: int):
     """One application of the matrix rule to row i of the echelon form.
 
-    The rule applies when the row is nonzero and all its entries share a
-    sign: its support is forced to 0 over the nonnegative orthant. Returns
-    the deleted columns (as original indices), the echelon form of the
-    survivors and the surviving original indices, or None when the rule
-    does not apply.
+    ``work`` is the RREF of the surviving columns times a nonzero common
+    denominator, which keeps every support and sign. The rule applies when
+    row i is nonzero and single-signed: its support is forced to 0 over the
+    nonnegative orthant. That support holds one pivot column, row i's own,
+    so ``work`` without row i and its support is again such a multiple of
+    the RREF of the survivors. Returns the deleted columns (as original
+    indices), that matrix and the surviving original indices, or None when
+    the rule does not apply.
     """
     row = work[i]
-    support = [j for j, v in enumerate(row) if v != 0]
-    if not support or not (all(v >= 0 for v in row) or all(v <= 0 for v in row)):
+    if not any(row) or min(row) < 0 < max(row):
         return None
-    drop = set(support)
-    keep = [j for j in range(len(surviving)) if j not in drop]
+    support = [j for j, v in enumerate(row) if v]
+    keep = [j for j, v in enumerate(row) if not v]
     return (tuple(surviving[j] for j in support),
-            rref([[r[j] for j in keep] for r in work]),
+            [[r[j] for j in keep] for k, r in enumerate(work) if k != i],
             [surviving[j] for j in keep])
 
 
 def matrix_reduce(system: ConstraintSystem) -> ReductionTrace:
-    """Run the column-deletion rule on the rational RREF of the matrix.
+    """Run the column-deletion rule on the exact RREF of the matrix.
 
     Repeatedly fires the lowest-index nonzero row whose entries all share a
-    sign, deletes its support (those variables are forced to 0 over the
-    nonnegative orthant), and recomputes the echelon form of the survivor.
+    sign and deletes its support (those variables are forced to 0 over the
+    nonnegative orthant). The matrix is eliminated once: the fired row and
+    its support are dropped, which leaves the echelon form of the survivors.
     Reduced-to-empty iff every column is eventually deleted.
     """
     surviving = list(range(system.n_cols))
-    work = rref(system.matrix)
+    work, _ = _eliminate(system.matrix)
     steps: list[MatrixStep] = []
     while surviving:
         fired = next(((i, f) for i in range(len(work))
@@ -218,7 +237,7 @@ def verify_matrix_trace(system: ConstraintSystem, trace: ReductionTrace) -> bool
     if trace.kind != "matrix":
         return False
     surviving = list(range(system.n_cols))
-    work = rref(system.matrix)
+    work, _ = _eliminate(system.matrix)
     for step in trace.steps:
         if not isinstance(step, MatrixStep) or not 0 <= step.row < len(work):
             return False

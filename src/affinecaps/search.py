@@ -255,9 +255,18 @@ def max_admissible_size(
     refutes every candidate, which is the maximality proof for size - 1.
     An exceeded budget yields a partial report (maximality not attempted),
     never an unproven claim; the same holds when the sweep is capped by
-    ``max_size`` before reaching a fully refuted level.
+    ``max_size`` before reaching a fully refuted level. A ``max_size``
+    above p - 1 is lowered to p - 1; ``min_size`` outside 2..p-1, a
+    ``max_size`` below ``min_size`` and fewer than one worker raise
+    ValueError before any work starts.
     """
     p = Prime(p)
+    if not 2 <= min_size <= p - 1:
+        raise ValueError(f"min_size must lie in 2..{p - 1}, got {min_size}")
+    if max_size is not None and max_size < min_size:
+        raise ValueError(f"max_size {max_size} is below min_size {min_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     budget = budget or SearchBudget()
     top = p - 1 if max_size is None else min(max_size, p - 1)
     started = time.monotonic()

@@ -25,6 +25,11 @@ phase-one simplex carried out over ``Fraction`` entries, one division per
 pivot. They are the references for the fraction-free integer kernel of the
 package (``reducibility.rref``, ``cone._phase_one``), which must reproduce
 them exactly: the same echelon form, and the same status and vector.
+
+``recomputing_matrix_reduce`` is the matrix rule that recomputes the echelon
+form of the surviving columns with ``fraction_rref`` after every firing, the
+reference for ``matrix_reduce``, which eliminates once and only deletes rows
+and columns afterwards.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from affinecaps import (
     make_line_equation,
     matrix_reduce,
 )
+from affinecaps.reducibility import MatrixStep, ReductionTrace
 from affinecaps.zp import affine_image
 
 
@@ -188,3 +194,26 @@ def fraction_phase_one(a_rows, n_cols: int):
         if var < n_cols:
             x[var] = tab[i][-1]
     return "feasible", tuple(x)
+
+
+def recomputing_matrix_reduce(system) -> ReductionTrace:
+    """The matrix rule with a fresh Fraction RREF of the survivors after each step.
+
+    Fires the lowest-index nonzero row whose entries share a sign, deletes
+    its support and eliminates the remaining columns of the echelon form
+    again, until no row fires or no column is left.
+    """
+    surviving = list(range(system.n_cols))
+    work = fraction_rref(system.matrix)
+    steps = []
+    while surviving:
+        fired = next((i for i, row in enumerate(work) if any(row)
+                      and (all(v >= 0 for v in row) or all(v <= 0 for v in row))), None)
+        if fired is None:
+            break
+        row = work[fired]
+        steps.append(MatrixStep(fired, tuple(surviving[j] for j, v in enumerate(row) if v != 0)))
+        keep = [j for j, v in enumerate(row) if v == 0]
+        work = fraction_rref([[r[j] for j in keep] for r in work])
+        surviving = [surviving[j] for j in keep]
+    return ReductionTrace("matrix", tuple(steps), not surviving)

@@ -76,6 +76,24 @@ def test_cert_verify_rejects_tampering(tmp_path, capsys):
     assert code == 1 and "FAILED" in out
 
 
+def test_cert_verify_rejects_a_truncated_matrix_trace(tmp_path, capsys):
+    # representative b=1 of this pair closes by the matrix rule only
+    code, _, _ = run(capsys, "--out", str(tmp_path), "check", "-p", "17",
+                     "-D", "0,1,3,11,14,16", "--Dprime", "0,1,14,16")
+    assert code == 0
+    cert_path = next(path for path in (tmp_path / "certs").glob("*.json")
+                     if json.loads(path.read_text())["method"] == "matrix")
+    code, out, _ = run(capsys, "cert-verify", str(cert_path))
+    assert code == 0 and "certificate ok" in out
+    data = json.loads(cert_path.read_text())
+    assert data["trace"]["verdict"] == "reduced-to-empty"
+    data["trace"]["steps"].pop()
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "cert-verify", str(truncated))
+    assert code == 1 and "FAILED" in out
+
+
 @pytest.mark.parametrize("document", [
     [],
     {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 9, "method": "digit",
@@ -151,6 +169,21 @@ def test_search_p7_cli(tmp_path, capsys):
     report = json.loads((tmp_path / "search_p7.json").read_text())
     assert report["max_size"] == 3 and report["maximality"] == "proven"
     assert (tmp_path / "search_p7.checkpoint.jsonl").exists()
+
+
+@pytest.mark.parametrize("options", [
+    ("--workers", "0"), ("--workers", "-1"), ("--lmin", "0"), ("--lmin", "9"),
+    ("--lmax", "1"), ("--lmin", "5", "--lmax", "4"),
+])
+def test_search_rejects_bad_sizes_and_worker_counts(tmp_path, capsys, options):
+    code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7", *options)
+    assert code == 2 and err.startswith("error: ")
+    assert not (tmp_path / "search_p7.json").exists()
+
+
+def test_search_lowers_a_large_lmax(tmp_path, capsys):
+    code, out, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7", "--lmax", "100")
+    assert code == 0 and "max admissible size 3 (proven)" in out
 
 
 def test_search_budget_exit_code(tmp_path, capsys):

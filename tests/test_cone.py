@@ -20,7 +20,7 @@ from affinecaps import (
     make_line_equation,
     verify_certificate,
 )
-from affinecaps.cone import InstanceTooLarge
+from affinecaps.cone import ConeCertificate, InstanceTooLarge
 from affinecaps.progressions import ConstraintSystem
 
 
@@ -113,6 +113,8 @@ def test_dual_normalization_and_witness_gcd():
                 for j in range(system.n_cols)
             ]
             assert min(products) == 1
+            shrunk = tuple(v * Fraction(6, 7) for v in cert.dual)  # min(A^T y) = 6/7
+            assert not verify_certificate(system, ConeCertificate("trivial", dual=shrunk))
         if not cert.trivial:
             from math import gcd
 

@@ -14,6 +14,8 @@ from affinecaps import (
 )
 from affinecaps.search import check_pair
 from affinecaps.reducibility import (
+    MatrixStep,
+    ReductionTrace,
     matrix_rank,
     verify_digit_trace,
     verify_matrix_trace,
@@ -182,3 +184,38 @@ def test_matrix_deletions_are_sound():
     for step in trace.steps:
         assert not (set(step.columns) & seen)
         seen.update(step.columns)
+
+
+def p23_full_fixed_system():
+    pair = digit_pair(23, G.P23_DIGITS)
+    return build_constraint_system(enumerate_progressions(pair, make_line_equation(23, 21)))
+
+
+def test_tampered_matrix_traces_fail_replay():
+    system = p23_full_fixed_system()
+    trace = matrix_reduce(system)
+    assert trace.reduced and verify_matrix_trace(system, trace)
+    echelon = rref(system.matrix)
+    mixed = next(i for i, row in enumerate(echelon) if min(row) < 0 < max(row))
+    zero = next(i for i, row in enumerate(echelon) if not any(row))
+    first = trace.steps[0]
+
+    def replays(*steps, reduced=True):
+        return verify_matrix_trace(system, ReductionTrace(
+            "matrix", tuple(steps) + trace.steps[1:], reduced))
+
+    support = tuple(j for j, v in enumerate(echelon[mixed]) if v)
+    assert not replays(MatrixStep(mixed, support))  # row is not single-signed
+    assert not replays(MatrixStep(zero, ()))
+    assert not replays(MatrixStep(zero, first.columns))
+    for row in (-1, -len(echelon), len(echelon), len(echelon) + 5):
+        assert not replays(MatrixStep(row, first.columns))
+    assert not replays(MatrixStep(first.row, first.columns + (first.columns[0] + 1,)))
+    assert not replays(MatrixStep(first.row, ()))
+    long_step = next(s for s in trace.steps if len(s.columns) > 1)
+    assert not verify_matrix_trace(system, ReductionTrace("matrix", tuple(
+        MatrixStep(s.row, s.columns[::-1] if s is long_step else s.columns)
+        for s in trace.steps), True))
+    assert not verify_matrix_trace(system, ReductionTrace("matrix", trace.steps[:-1], True))
+    assert verify_matrix_trace(system, ReductionTrace("matrix", trace.steps[:-1], False))
+    assert not verify_matrix_trace(system, ReductionTrace("digit", trace.steps, True))

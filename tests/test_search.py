@@ -129,6 +129,24 @@ def test_sweep_worker_pool_matches_sequential():
     assert seq == par
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"min_size": 1}, {"min_size": 7}, {"min_size": 9}, {"max_size": 1},
+    {"min_size": 4, "max_size": 3}, {"workers": 0}, {"workers": -1},
+])
+def test_sweep_rejects_bad_sizes_and_worker_counts_up_front(tmp_path, kwargs):
+    ckpt = tmp_path / "sweep.jsonl"
+    with pytest.raises(ValueError):
+        max_admissible_size(7, checkpoint_path=ckpt, cert_dir=tmp_path / "certs", **kwargs)
+    assert not ckpt.exists() and not (tmp_path / "certs").exists()
+
+
+def test_sweep_lowers_a_large_max_size_to_p_minus_1():
+    assert render_report(max_admissible_size(7, max_size=100)) == \
+        render_report(max_admissible_size(7))
+    top_level = max_admissible_size(7, min_size=6, max_size=100)  # level 6 only
+    assert top_level.candidates_examined == sum(1 for _ in candidates(7, 6))
+
+
 def test_minimize_fixed_digits_p11():
     pair = minimize_fixed_digits((0, 1, 3, 4, 5), 11)
     assert pair.fixed == (0, 1, 3)
