@@ -17,8 +17,6 @@ from .progressions import (
     ProgressionTable,
     build_constraint_system,
     enumerate_progressions,
-    reverse_table,
-    swap_table,
 )
 from .reducibility import (
     ReductionTrace,
@@ -54,8 +52,6 @@ __all__ = [
     "make_line_equation",
     "matrix_reduce",
     "normalize_digit_set",
-    "reverse_table",
     "rref",
-    "swap_table",
     "verify_certificate",
 ]

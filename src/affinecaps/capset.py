@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 class EnumerationTooLarge(ValueError):
-    """Raised when a cap would exceed the configured enumeration limit."""
+    """Raised when a cap would exceed DEFAULT_ENUMERATION_CAP points."""
 
 
 @dataclass(frozen=True)
@@ -63,38 +63,50 @@ def size_estimate(pair: DigitSetPair, n: int) -> SizeEstimate:
     return SizeEstimate(count, size, delta, c)
 
 
-def build_cap(pair: DigitSetPair, n: int,
-              max_points: int = DEFAULT_ENUMERATION_CAP) -> CapPointSet:
-    """Enumerate every allowed point: digits from D, pinned frequencies for D'."""
+def build_cap(pair: DigitSetPair, n: int) -> CapPointSet:
+    """Enumerate every allowed point: digits from D, pinned frequencies for D'.
+
+    Positions are filled left to right, each trying the digits in ascending
+    order under the frequencies still owed, so points come out sorted. The
+    completions of a prefix depend only on its length and on what it still
+    owes (``needs``, one count per fixed digit); they are shared between
+    prefixes for the second half of the positions only, since sharing them
+    for longer suffixes would hold about a copy of the cap per level.
+    """
     est = size_estimate(pair, n)
-    if est.exact_count > max_points:
+    if est.exact_count > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLarge(
-            f"{est.exact_count} points exceed the enumeration cap {max_points}"
+            f"{est.exact_count} points exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    k = n // len(pair.digits)
-    free = [d for d in pair.digits if d not in set(pair.fixed)]
+    index = {d: i for i, d in enumerate(pair.fixed)}
+
+    def moves(left: int, needs: tuple[int, ...]):
+        """Each digit allowed next, ascending, with what is owed after it."""
+        for d in pair.digits:
+            i = index.get(d)
+            if i is None:
+                if sum(needs) < left:
+                    yield d, needs
+            elif needs[i]:
+                yield d, needs[:i] + (needs[i] - 1,) + needs[i + 1:]
+
+    @cache
+    def suffixes(left: int, needs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        if not left:
+            return ((),)
+        return tuple((d,) + s for d, after in moves(left, needs)
+                     for s in suffixes(left - 1, after))
+
     points: list[tuple[int, ...]] = []
-    vec = [0] * n
 
-    def place(avail: tuple[int, ...], fi: int) -> None:
-        if fi == len(pair.fixed):
-            if not avail:
-                points.append(tuple(vec))
-                return
-            for filling in product(free, repeat=len(avail)):
-                for pos, d in zip(avail, filling):
-                    vec[pos] = d
-                points.append(tuple(vec))
+    def extend(prefix: tuple[int, ...], left: int, needs: tuple[int, ...]) -> None:
+        if left <= n // 2:
+            points.extend(prefix + s for s in suffixes(left, needs))
             return
-        d = pair.fixed[fi]
-        for chosen in combinations(avail, k):
-            for pos in chosen:
-                vec[pos] = d
-            rest = tuple(q for q in avail if q not in set(chosen))
-            place(rest, fi + 1)
+        for d, after in moves(left, needs):
+            extend(prefix + (d,), left - 1, after)
 
-    place(tuple(range(n)), 0)
-    points.sort()
+    extend((), n, (n // len(pair.digits),) * len(pair.fixed))
     return CapPointSet(pair.p, n, pair, tuple(points))
 
 

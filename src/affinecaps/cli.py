@@ -22,21 +22,18 @@ from .capset import (
     verify_cap,
     write_points,
 )
-from .cone import certificate_from_jsonable, verify_certificate
 from .equivalence import classification_to_jsonable, classify
-from .progressions import build_constraint_system, enumerate_progressions, table_to_jsonable
-from .reducibility import (
-    render_trace,
-    trace_from_jsonable,
-    verify_digit_trace,
-    verify_matrix_trace,
-)
+from .progressions import enumerate_progressions, table_to_jsonable
+from .reducibility import render_trace
 from .search import (
     SearchBudget,
+    certificate_payload,
+    check_pair,
     max_admissible_size,
     outcome_to_jsonable,
     render_report,
     store_certificate,
+    verify_certificate_payload,
 )
 from .zp import digit_pair, equation_str, make_line_equation
 
@@ -88,8 +85,6 @@ def cmd_progressions(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .search import certificate_payload, check_pair
-
     digits = _parse_digits(args.digits)
     fixed = _parse_digits(args.dprime) if args.dprime else None
     pair = digit_pair(args.p, digits, fixed)
@@ -222,31 +217,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cert_verify(args) -> int:
-    data = json.loads(Path(args.certificate).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("certificate document must be a JSON object")
-    for key, kind in (("p", int), ("b", int), ("digits", list), ("fixed", list)):
-        if not isinstance(data.get(key), kind):
-            raise ValueError(f"certificate field {key!r} must be a JSON {kind.__name__}")
-    if not all(isinstance(d, int) for d in data["digits"] + data["fixed"]):
-        raise ValueError("certificate digits must be integers")
-    pair = digit_pair(data["p"], data["digits"], data["fixed"])
-    eq = make_line_equation(data["p"], data["b"])
-    method = data["method"]
-    if method == "digit":
-        ok = verify_digit_trace(pair, eq, trace_from_jsonable(data["trace"]))
-    elif method == "matrix":
-        system = build_constraint_system(enumerate_progressions(pair, eq))
-        ok = verify_matrix_trace(system, trace_from_jsonable(data["trace"]))
-    elif method == "cone":
-        system = build_constraint_system(enumerate_progressions(pair, eq))
-        cert = certificate_from_jsonable(data["certificate"])
-        try:
-            ok = verify_certificate(system, cert)
-        except ValueError:  # certificate of the wrong dimension
-            ok = False
-    else:
-        raise CliError(f"unknown certificate method {method!r}")
+    ok = verify_certificate_payload(json.loads(Path(args.certificate).read_text()))
     print("certificate ok" if ok else "certificate FAILED")
     return EXIT_OK if ok else EXIT_NEGATIVE
 

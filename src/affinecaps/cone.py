@@ -173,28 +173,33 @@ def integer_oracle(system: ConstraintSystem, bound: int):
     return None
 
 
-def _frac_str(v: Fraction | int) -> str:
-    return str(v)
-
-
 def certificate_to_jsonable(cert: ConeCertificate) -> dict:
     """Decimal-string encoding, lossless for arbitrary-precision values."""
     out: dict = {"kind": cert.kind}
     if cert.dual is not None:
-        out["dual"] = [_frac_str(v) for v in cert.dual]
+        out["dual"] = [str(v) for v in cert.dual]
     if cert.witness is not None:
-        out["witness"] = [_frac_str(v) for v in cert.witness]
+        out["witness"] = [str(v) for v in cert.witness]
     return out
+
+
+def _parse_entries(values: list, parse) -> tuple:
+    """Decimal strings or JSON integers; a float such as 1.9 is refused, not truncated."""
+    if not all(type(v) is int or isinstance(v, str) for v in values):
+        raise ValueError(f"cone certificate entries must be decimal strings or integers, "
+                         f"got {values!r}")
+    try:
+        return tuple(parse(v) for v in values)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cone certificate entry is not a number: {exc}") from exc
 
 
 def certificate_from_jsonable(data: dict) -> ConeCertificate:
     """Inverse of ``certificate_to_jsonable``; raises ValueError on a wrong shape."""
-    if not isinstance(data, dict) or not all(
-            isinstance(data.get(key, []), list) for key in ("dual", "witness")):
-        raise ValueError("cone certificate must be an object with list-valued dual/witness")
-    try:
-        dual = tuple(Fraction(s) for s in data["dual"]) if "dual" in data else None
-        witness = tuple(int(s) for s in data["witness"]) if "witness" in data else None
-    except TypeError as exc:
-        raise ValueError(f"cone certificate entry is not a number: {exc}") from exc
+    if not isinstance(data, dict) or data.get("kind") not in ("trivial", "nontrivial") \
+            or not all(isinstance(data.get(key, []), list) for key in ("dual", "witness")):
+        raise ValueError("cone certificate must be an object of kind trivial or nontrivial "
+                         "with list-valued dual/witness")
+    dual = _parse_entries(data["dual"], Fraction) if "dual" in data else None
+    witness = _parse_entries(data["witness"], int) if "witness" in data else None
     return ConeCertificate(data["kind"], dual=dual, witness=witness)

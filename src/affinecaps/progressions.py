@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zp import DigitSetPair, LineEquation, inv_mod, make_line_equation
+from .zp import DigitSetPair, LineEquation
 
 Triple = tuple[int, int, int]
 
@@ -35,21 +35,6 @@ def enumerate_progressions(pair: DigitSetPair, eq: LineEquation) -> ProgressionT
                 rows.append((x, y, z))
     rows.sort()
     return ProgressionTable(pair, eq, tuple(rows))
-
-
-def reverse_table(table: ProgressionTable) -> ProgressionTable:
-    """Table for b' = c^{-1} b, whose members are this table's triples reversed."""
-    eq = table.equation
-    b2 = (inv_mod(eq.c, eq.p) * eq.b) % eq.p
-    rows = tuple(sorted((z, y, x) for (x, y, z) in table.rows))
-    return ProgressionTable(table.pair, make_line_equation(eq.p, b2), rows)
-
-
-def swap_table(table: ProgressionTable) -> ProgressionTable:
-    """Table for b' = c, whose members have the last two components swapped."""
-    eq = table.equation
-    rows = tuple(sorted((x, z, y) for (x, y, z) in table.rows))
-    return ProgressionTable(table.pair, make_line_equation(eq.p, eq.c), rows)
 
 
 @dataclass(frozen=True)
@@ -102,12 +87,4 @@ def table_to_jsonable(table: ProgressionTable) -> dict:
         "b": table.equation.b,
         "c": table.equation.c,
         "rows": [list(v) for v in table.rows],
-    }
-
-
-def system_to_jsonable(system: ConstraintSystem) -> dict:
-    return {
-        "matrix": [list(row) for row in system.matrix],
-        "row_labels": [list(lbl) for lbl in system.row_labels],
-        "column_labels": [list(v) for v in system.column_labels],
     }

@@ -77,21 +77,14 @@ def _fire_digit(remaining: Sequence[Triple], position: int, digit: int):
     return removed, [t for t in remaining if digit not in t]
 
 
-def digit_reduce(
-    pair: DigitSetPair,
-    eq: LineEquation,
-    scan_order: Sequence[tuple[int, int]] | None = None,
-) -> ReductionTrace:
+def digit_reduce(pair: DigitSetPair, eq: LineEquation) -> ReductionTrace:
     """Run the digit rule to a fixpoint for one equation.
 
-    The default scan fires the first applicable (position, digit) with
-    position outer 1..3 and digits ascending, then restarts; ``scan_order``
-    overrides this (used to check the verdict is order-independent).
+    Fires the first applicable (position, digit), position outer 1..3 and
+    digits ascending, then restarts the scan.
     """
     remaining = list(enumerate_progressions(pair, eq).rows)
-    order = list(scan_order) if scan_order is not None else [
-        (r, d) for r in (1, 2, 3) for d in pair.fixed
-    ]
+    order = [(r, d) for r in (1, 2, 3) for d in pair.fixed]
     steps: list[DigitStep] = []
     while remaining:
         fired = next(((r, d, f) for r, d in order
@@ -164,10 +157,6 @@ def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     memo: dict[int, Fraction] = {}  # an echelon form repeats few values
     return [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, det)) for v in row]
             for row in m]
-
-
-def matrix_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
-    return sum(1 for row in rref(matrix) if any(v != 0 for v in row))
 
 
 def _fire_row(work: list[list[int]], surviving: list[int], i: int):

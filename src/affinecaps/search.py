@@ -16,30 +16,41 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
-from .cone import ConeCertificate, certificate_to_jsonable, cone_trivial
+from .cone import (
+    ConeCertificate,
+    certificate_from_jsonable,
+    certificate_to_jsonable,
+    cone_trivial,
+    verify_certificate,
+)
 from .progressions import build_constraint_system, enumerate_progressions
-from .reducibility import ReductionTrace, digit_reduce, matrix_reduce, trace_to_jsonable
-from .zp import DigitSetPair, Prime, digit_pair, equation_classes, make_line_equation, normalize_digit_set
+from .reducibility import (
+    ReductionTrace,
+    digit_reduce,
+    matrix_reduce,
+    trace_from_jsonable,
+    trace_to_jsonable,
+    verify_digit_trace,
+    verify_matrix_trace,
+)
+from .zp import DigitSetPair, Prime, digit_pair, equation_classes, make_line_equation
 
 
-def candidates(p: int, size: int, canonical_only: bool = False):
+def candidates(p: int, size: int):
     """All ascending digit sets of the given size containing 0 and 1.
 
     Every orbit under affine maps has such a member, so nothing admissible
-    is missed. With ``canonical_only`` only lexicographically least orbit
-    representatives are produced.
+    is missed.
     """
     p = Prime(p)
     if not 2 <= size <= p - 1:
         raise ValueError(f"size must lie in 2..{p - 1}, got {size}")
     for rest in combinations(range(2, p), size - 2):
-        digits = (0, 1) + rest
-        if canonical_only and normalize_digit_set(digits, p) != digits:
-            continue
-        yield digits
+        yield (0, 1) + rest
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,40 @@ def certificate_payload(pair: DigitSetPair, outcome: RepOutcome) -> dict:
     return payload
 
 
-def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
+def verify_certificate_payload(data) -> bool:
+    """Re-check a document written by ``certificate_payload``, trusting nothing in it.
+
+    Returns whether the proof object holds for the stated pair and
+    equation; a proof object of the wrong dimension fails. Raises
+    ValueError (or KeyError for a missing field) when the document is
+    malformed.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("certificate document must be a JSON object")
+    for key, kind in (("p", int), ("b", int), ("digits", list), ("fixed", list)):
+        if not isinstance(data.get(key), kind):
+            raise ValueError(f"certificate field {key!r} must be a JSON {kind.__name__}")
+    if not all(isinstance(d, int) for d in data["digits"] + data["fixed"]):
+        raise ValueError("certificate digits must be integers")
+    pair = digit_pair(data["p"], data["digits"], data["fixed"])
+    eq = make_line_equation(data["p"], data["b"])
+    method = data["method"]
+    if method == "digit":
+        return verify_digit_trace(pair, eq, trace_from_jsonable(data["trace"]))
+    if method not in ("matrix", "cone"):
+        raise ValueError(f"unknown certificate method {method!r}")
+    system = build_constraint_system(enumerate_progressions(pair, eq))
+    if method == "matrix":
+        return verify_matrix_trace(system, trace_from_jsonable(data["trace"]))
+    cert = certificate_from_jsonable(data["certificate"])
+    try:
+        return verify_certificate(system, cert)
+    except ValueError:  # certificate of the wrong dimension
+        return False
+
+
+def _candidate_record(p: int, digits: tuple[int, ...]) -> tuple[dict, RepOutcome | None]:
+    """The checkpoint record of one candidate and its refuting outcome, if any."""
     verdict = check_pair(digit_pair(p, digits))
     record: dict = {
         "size": len(digits),
@@ -192,15 +236,12 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
         "admissible": verdict.admissible,
         "methods": [[o.b, o.method] for o in verdict.outcomes],
     }
-    if not verdict.admissible:
-        refuting = verdict.outcomes[-1]
-        record["refuted_b"] = refuting.b
-        record["witness"] = [str(v) for v in refuting.certificate.witness]
-    return record
-
-
-def _sweep_worker(args) -> dict:
-    return _candidate_record(*args)
+    if verdict.admissible:
+        return record, None
+    refuting = verdict.outcomes[-1]
+    record["refuted_b"] = refuting.b
+    record["witness"] = [str(v) for v in refuting.certificate.witness]
+    return record, refuting
 
 
 class _Checkpoint:
@@ -281,7 +322,7 @@ def max_admissible_size(
             return True
         return False
 
-    def partial() -> SearchReport:
+    def partial_report() -> SearchReport:
         return _finalize(p, best, examined, maximality="not-attempted",
                          refutations=(), budget_exhausted=True, cert_dir=cert_dir)
 
@@ -290,22 +331,22 @@ def max_admissible_size(
         if workers > 1:
             from multiprocessing import Pool
             pool = Pool(workers)
+        work = partial(_candidate_record, int(p))
         for size in range(min_size, top + 1):
             level = list(candidates(p, size))
-            pending = [(int(p), d) for d in level if ckpt.get(size, d) is None]
-            results = pool.imap(_sweep_worker, pending, chunksize=8) if pool \
-                else map(_sweep_worker, pending)
+            pending = [d for d in level if ckpt.get(size, d) is None]
+            results = pool.imap(work, pending, chunksize=8) if pool else map(work, pending)
             found = None
             level_records = []
             for digits in level:
                 if exhausted():
-                    return partial()
+                    return partial_report()
                 rec = ckpt.get(size, digits)
                 if rec is None:
-                    rec = next(results)
-                    if cert_dir is not None and not rec["admissible"]:
+                    rec, refuting = next(results)
+                    if cert_dir is not None and refuting is not None:
                         rec["cert"] = store_certificate(
-                            _refutation_payload(p, rec), cert_dir)
+                            certificate_payload(digit_pair(p, digits), refuting), cert_dir)
                     ckpt.add(rec)
                 examined += 1
                 level_records.append(rec)
@@ -331,17 +372,6 @@ def max_admissible_size(
             pool.join()
 
 
-def _refutation_payload(p: int, rec: dict) -> dict:
-    return {
-        "p": int(p),
-        "digits": rec["digits"],
-        "fixed": rec["digits"],
-        "b": rec["refuted_b"],
-        "method": "cone",
-        "certificate": {"kind": "nontrivial", "witness": rec["witness"]},
-    }
-
-
 def _finalize(p, best, examined, maximality, refutations, budget_exhausted,
               cert_dir) -> SearchReport:
     if best is None:
@@ -349,24 +379,23 @@ def _finalize(p, best, examined, maximality, refutations, budget_exhausted,
                             maximality, refutations, budget_exhausted)
     digits = tuple(best["digits"])
     minimal = minimize_fixed_digits(digits, p)
-    bundle = check_pair(minimal).outcomes
     if cert_dir is not None:
-        for outcome in bundle:
-            store_certificate(certificate_payload(minimal, outcome), cert_dir)
+        for outcome in minimal.outcomes:
+            store_certificate(certificate_payload(minimal.pair, outcome), cert_dir)
     return SearchReport(
-        int(p), len(digits), digits, minimal.fixed, bundle,
+        int(p), len(digits), digits, minimal.pair.fixed, minimal.outcomes,
         examined, maximality, refutations, budget_exhausted,
     )
 
 
-def minimize_fixed_digits(digits, p: int) -> DigitSetPair:
-    """Smallest (then lexicographically least) admissible set of fixed digits."""
+def minimize_fixed_digits(digits, p: int) -> PairVerdict:
+    """Verdict for the smallest (then lexicographically least) admissible set of fixed digits."""
     digits = tuple(sorted(set(digits)))
     if not check_pair(digit_pair(p, digits)).admissible:
         raise ValueError(f"digit set {digits} is not admissible mod {p}")
     for size in range(len(digits) + 1):
         for fixed in combinations(digits, size):
-            pair = digit_pair(p, digits, fixed)
-            if check_pair(pair).admissible:
-                return pair
+            verdict = check_pair(digit_pair(p, digits, fixed))
+            if verdict.admissible:
+                return verdict
     raise AssertionError("unreachable: the full digit set is admissible")

@@ -31,14 +31,6 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a modulo the prime p."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse modulo {p}")
-    return pow(a, p - 2, p)
-
-
 @dataclass(frozen=True)
 class DigitSetPair:
     """A digit set together with the subset of digits whose frequency is pinned.
@@ -100,7 +92,7 @@ def equation_str(eq: LineEquation) -> str:
 
 def mirror_partner(eq: LineEquation) -> int:
     """b-value of the equation whose progressions are this one's, reversed."""
-    return (inv_mod(eq.c, eq.p) * eq.b) % eq.p
+    return pow(eq.c, -1, eq.p) * eq.b % eq.p
 
 
 def swap_partner(eq: LineEquation) -> int:

@@ -39,7 +39,6 @@ from affinecaps.capset import (
     size_estimate,
     verify_cap,
 )
-from affinecaps.reducibility import matrix_rank
 from affinecaps.search import max_admissible_size
 from affinecaps.zp import affine_image
 
@@ -73,7 +72,7 @@ def test_criterion_02_golden_matrix_and_row_space():
     table = enumerate_progressions(pair, make_line_equation(23, 21))
     system = build_constraint_system(table)
     assert [list(r) for r in system.matrix] == G.P23_MATRIX
-    assert matrix_rank(G.P23_MATRIX) == 15
+    assert sum(1 for row in rref(G.P23_MATRIX) if any(row)) == 15  # rank
     # reduced echelon forms are canonical, so equality means equal row spaces
     assert rref(G.P23_MATRIX) == rref(G.P23_ECHELON)
     elapsed = time.monotonic() - t0

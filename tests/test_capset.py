@@ -8,6 +8,7 @@ import golden as G
 from oracles import cone_admissible, cone_certificates
 from affinecaps import digit_pair
 from affinecaps.capset import (
+    DEFAULT_ENUMERATION_CAP,
     CapPointSet,
     EnumerationTooLarge,
     bose_cap,
@@ -51,8 +52,9 @@ def test_build_cap_matches_count_and_divisibility():
     assert list(cap.points) == sorted(cap.points)
     with pytest.raises(ValueError):
         build_cap(PAIR11, 7)  # 5 does not divide 7
+    assert size_estimate(PAIR11, 15).exact_count > DEFAULT_ENUMERATION_CAP
     with pytest.raises(EnumerationTooLarge):
-        build_cap(PAIR11, 10, max_points=1000)
+        build_cap(PAIR11, 15)
 
 
 def test_permutation_case():
@@ -266,7 +268,12 @@ def test_count_agreement_random_instances():
         n = size * rng.randint(1, 2)
         if size_estimate(pair, n).exact_count > 200_000:
             continue
-        assert len(build_cap(pair, n)) == size_estimate(pair, n).exact_count
+        points = build_cap(pair, n).points
+        assert len(points) == size_estimate(pair, n).exact_count
+        assert all(a < b for a, b in zip(points, points[1:]))  # strictly sorted
+        for q in points:
+            assert set(q) <= set(digits)
+            assert all(q.count(d) == n // size for d in fixed)
 
 
 def test_admissible_pairs_give_caps_at_small_dimensions():

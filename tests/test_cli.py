@@ -100,7 +100,15 @@ def test_cert_verify_rejects_a_truncated_matrix_trace(tmp_path, capsys):
      "trace": {"kind": "digit", "verdict": "reduced-to-empty", "steps": [1]}},
     {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 9, "method": "cone",
      "certificate": {"kind": "trivial", "dual": 5}},
-], ids=["top-level-list", "digit-step-not-object", "dual-not-list"])
+    {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 9, "method": "cone",
+     "certificate": {"kind": "trivial", "dual": ["1/0", "1", "1", "1", "1", "1"]}},
+    {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 9, "method": "cone",
+     "certificate": {"kind": "bogus", "dual": ["1", "1", "1", "1", "1", "1"]}},
+    # truncated, these floats are the true witness (1, 0, 1, 0, 1, 0) of this pair
+    {"p": 13, "digits": [0, 1, 2, 3, 4], "fixed": [0, 1, 2, 3, 4], "b": 3, "method": "cone",
+     "certificate": {"kind": "nontrivial", "witness": [1.9, 0, 1, 0, 1.5, 0]}},
+], ids=["top-level-list", "digit-step-not-object", "dual-not-list", "dual-zero-denominator",
+        "unknown-kind", "witness-of-floats"])
 def test_cert_verify_malformed_document_is_an_input_error(tmp_path, capsys, document):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))

@@ -61,7 +61,8 @@ def test_rref_of_fraction_rows_matches_the_fraction_reference():
     fractional = 0
     for _ in range(200):
         n_rows, n_cols = rng.randint(1, 5), rng.randint(2, 8)
-        # matrix_reduce passes column subsets of an earlier echelon form
+        # a column subset of an echelon form gives rows of Fractions with
+        # mixed denominators, which rref clears row by row
         echelon = rref([[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)])
         fractional += any(v.denominator != 1 for row in echelon for v in row)
         keep = sorted(rng.sample(range(n_cols), rng.randint(1, n_cols - 1)))

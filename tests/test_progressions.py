@@ -7,10 +7,9 @@ from affinecaps import (
     digit_pair,
     enumerate_progressions,
     make_line_equation,
-    reverse_table,
-    swap_table,
 )
-from affinecaps.progressions import system_to_jsonable, table_to_jsonable
+from affinecaps.progressions import table_to_jsonable
+from affinecaps.zp import mirror_partner, swap_partner
 
 SMALL_PRIMES = [5, 7, 11, 13, 17]
 
@@ -55,52 +54,55 @@ def test_progressions_have_distinct_components():
             assert len({x, y, z}) == 3
 
 
+def reversed_rows(t):
+    return sorted((z, y, x) for (x, y, z) in t.rows)
+
+
+def swapped_rows(t):
+    return sorted((x, z, y) for (x, y, z) in t.rows)
+
+
 def test_reverse_table_examples():
     t = table(11, G.P11_DIGITS, 9)  # c = 1, self-paired
-    rev = reverse_table(t)
-    assert rev.equation.b == 9
-    assert set(rev.rows) == set(t.rows)
+    assert mirror_partner(t.equation) == 9
+    assert reversed_rows(t) == list(t.rows)
 
     t8 = table(11, G.P11_DIGITS, 8)  # c = 2, inverse 6, partner 6*8 = 4 mod 11
-    rev8 = reverse_table(t8)
-    assert rev8.equation.b == 4
-    assert list(rev8.rows) == list(table(11, G.P11_DIGITS, 4).rows)
+    assert mirror_partner(t8.equation) == 4
+    assert reversed_rows(t8) == list(table(11, G.P11_DIGITS, 4).rows)
 
     empty = table(5, (0, 1), 1)
-    assert not empty.rows and not reverse_table(empty).rows
+    assert not empty.rows and not table(5, (0, 1), mirror_partner(empty.equation)).rows
 
 
 def test_swap_table_examples():
     t8 = table(11, G.P11_DIGITS, 8)
-    sw = swap_table(t8)
-    assert sw.equation.b == 2
-    assert list(sw.rows) == list(table(11, G.P11_DIGITS, 2).rows)
+    assert swap_partner(t8.equation) == 2
+    assert swapped_rows(t8) == list(table(11, G.P11_DIGITS, 2).rows)
 
     t15 = table(17, G.P17_DIGITS, 15)
-    sw15 = swap_table(t15)
-    assert sw15.equation.b == 1
-    assert list(sw15.rows) == list(table(17, G.P17_DIGITS, 1).rows)
+    assert swap_partner(t15.equation) == 1
+    assert swapped_rows(t15) == list(table(17, G.P17_DIGITS, 1).rows)
 
     empty = table(5, (0, 1), 2)
-    assert not swap_table(empty).rows
+    assert not table(5, (0, 1), swap_partner(empty.equation)).rows
 
 
 def test_reverse_swap_preserve_cardinality_and_invert():
+    # the equation-class moves of zp map each table onto the table of the
+    # partner equation, and applying a move twice returns the equation
     rng = random.Random(779)
     for _ in range(30):
         p = rng.choice(SMALL_PRIMES)
         digits = tuple(sorted(rng.sample(range(p), rng.randint(3, min(6, p - 1)))))
         b = rng.randint(1, p - 2)
         t = table(p, digits, b)
-        rev, sw = reverse_table(t), swap_table(t)
+        rev, sw = table(p, digits, mirror_partner(t.equation)), \
+            table(p, digits, swap_partner(t.equation))
         assert len(rev.rows) == len(t.rows) == len(sw.rows)
-        assert list(reverse_table(rev).rows) == list(t.rows)
-        assert reverse_table(rev).equation == t.equation
-        assert list(swap_table(sw).rows) == list(t.rows)
-        assert swap_table(sw).equation == t.equation
-        # the transformed tables are genuine enumerations of their equations
-        assert list(rev.rows) == list(table(p, digits, rev.equation.b).rows)
-        assert list(sw.rows) == list(table(p, digits, sw.equation.b).rows)
+        assert list(rev.rows) == reversed_rows(t) and reversed_rows(rev) == list(t.rows)
+        assert list(sw.rows) == swapped_rows(t) and swapped_rows(sw) == list(t.rows)
+        assert mirror_partner(rev.equation) == swap_partner(sw.equation) == b
 
 
 def test_constraint_matrix_golden_p23():
@@ -150,6 +152,3 @@ def test_serialization_round_trip_is_canonical():
     t = table(11, G.P11_DIGITS, 9, fixed=G.P11_FIXED)
     blob = json.dumps(table_to_jsonable(t), sort_keys=True)
     assert json.loads(blob)["rows"] == [list(v) for v in t.rows]
-    system = build_constraint_system(t)
-    blob2 = json.dumps(system_to_jsonable(system), sort_keys=True)
-    assert json.loads(blob2)["matrix"] == [list(r) for r in system.matrix]

@@ -14,9 +14,10 @@ from affinecaps import (
 )
 from affinecaps.search import check_pair
 from affinecaps.reducibility import (
+    DigitStep,
     MatrixStep,
     ReductionTrace,
-    matrix_rank,
+    _fire_digit,
     verify_digit_trace,
     verify_matrix_trace,
 )
@@ -62,17 +63,21 @@ def test_digit_reducible_fails_for_p23():
     assert not digit_reducible(digit_pair(23, G.P23_DIGITS))
 
 
+def rank(matrix):
+    return sum(1 for row in rref(matrix) if any(row))
+
+
 def test_rref_basics():
     m = rref([[2, 4, 6], [1, 2, 4]])
     assert m == [[Fraction(1), Fraction(2), Fraction(0)],
                  [Fraction(0), Fraction(0), Fraction(1)]]
     assert rref(m) == m
-    assert matrix_rank([[1, 2], [2, 4], [0, 1]]) == 2
+    assert rank([[1, 2], [2, 4], [0, 1]]) == 2
     assert rref([]) == []
 
 
 def test_rref_p23_rank_and_canonical_form():
-    assert matrix_rank(G.P23_MATRIX) == 15
+    assert rank(G.P23_MATRIX) == 15
     # identical row space means identical reduced echelon form
     assert rref(G.P23_MATRIX) == rref(G.P23_ECHELON)
 
@@ -154,6 +159,20 @@ def test_tampered_traces_fail_replay():
     assert not verify_digit_trace(pair, eq, wrong_verdict)
 
 
+def digit_trace_in_order(pair, eq, order):
+    """The digit rule run to a fixpoint, scanning (position, digit) in ``order``."""
+    remaining = list(enumerate_progressions(pair, eq).rows)
+    steps = []
+    while remaining:
+        fired = next(((r, d, f) for r, d in order
+                      if (f := _fire_digit(remaining, r, d)) is not None), None)
+        if fired is None:
+            break
+        r, d, (removed, remaining) = fired
+        steps.append(DigitStep(r, d, removed))
+    return ReductionTrace("digit", tuple(steps), not remaining)
+
+
 def test_digit_verdict_is_scan_order_independent():
     rng = random.Random(97)
     for _ in range(40):
@@ -167,7 +186,7 @@ def test_digit_verdict_is_scan_order_independent():
         order = [(r, d) for r in (1, 2, 3) for d in fixed]
         for _ in range(3):
             rng.shuffle(order)
-            trace = digit_reduce(pair, eq, scan_order=order)
+            trace = digit_trace_in_order(pair, eq, order)
             assert trace.reduced == base
             assert verify_digit_trace(pair, eq, trace)  # any firing order replays
 

@@ -29,9 +29,8 @@ def test_candidate_enumeration_counts():
 
 def test_candidates_canonical_mode():
     full = list(candidates(11, 4))
-    canon = list(candidates(11, 4, canonical_only=True))
+    canon = [d for d in full if normalize_digit_set(d, 11) == d]
     assert set(canon) < set(full)
-    assert all(normalize_digit_set(d, 11) == d for d in canon)
     # every orbit keeps exactly one member
     orbits = {normalize_digit_set(d, 11) for d in full}
     assert orbits == set(canon)
@@ -148,9 +147,10 @@ def test_sweep_lowers_a_large_max_size_to_p_minus_1():
 
 
 def test_minimize_fixed_digits_p11():
-    pair = minimize_fixed_digits((0, 1, 3, 4, 5), 11)
+    verdict = minimize_fixed_digits((0, 1, 3, 4, 5), 11)
+    pair = verdict.pair
     assert pair.fixed == (0, 1, 3)
-    assert check_pair(pair).admissible
+    assert verdict.admissible and verdict == check_pair(pair)
     assert len(pair.fixed) <= len(pair.digits) - 2
 
 
@@ -160,7 +160,7 @@ def test_minimize_requires_admissible_digits():
 
 
 def test_minimize_two_digit_set():
-    pair = minimize_fixed_digits((0, 1), 7)
+    pair = minimize_fixed_digits((0, 1), 7).pair
     assert pair.fixed == ()  # no progressions at all, nothing needs pinning
 
 

@@ -11,7 +11,7 @@ from affinecaps import (
     make_line_equation,
     normalize_digit_set,
 )
-from affinecaps.zp import affine_image, inv_mod, is_prime, mirror_partner, swap_partner
+from affinecaps.zp import affine_image, is_prime, mirror_partner, swap_partner
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
@@ -26,14 +26,6 @@ def test_prime_validation():
 def test_is_prime_matches_trial_range():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == known
-
-
-def test_inv_mod():
-    for p in SMALL_PRIMES:
-        for a in range(1, p):
-            assert (a * inv_mod(a, p)) % p == 1
-    with pytest.raises(ZeroDivisionError):
-        inv_mod(0, 7)
 
 
 def test_digit_pair_validation():
