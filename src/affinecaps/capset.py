@@ -116,11 +116,13 @@ class CapCheck:
     violation: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _as_point_array(points, p: int | None):
-    """Sorted distinct points and the modulus; points must lie in [0, p)^n.
+def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int]:
+    """Sorted distinct points as int64 rows, and the modulus; points must lie in [0, p)^n.
 
     A CapPointSet is checked like a raw collection, since nothing stops one
-    from being built by hand.
+    from being built by hand. Points that already come strictly increasing,
+    as ``build_cap`` and ``read_points`` of its file give them, are not sorted
+    again.
     """
     if isinstance(points, CapPointSet):
         if p is not None and int(p) != points.p:
@@ -129,12 +131,22 @@ def _as_point_array(points, p: int | None):
     if p is None:
         raise ValueError("p is required for a raw point collection")
     p = int(p)
-    pts = tuple(sorted(set(tuple(int(v) for v in q) for q in points)))
-    if len({len(q) for q in pts}) > 1:
-        raise ValueError("points must share one dimension")
-    if any(not 0 <= v < p for q in pts for v in q):
+    try:
+        arr = np.array(list(points), dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"point coordinates must lie in [0, {p})") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"points must be integer vectors of one dimension: {exc}") from exc
+    if not arr.size:
+        return arr.reshape(0, 0), p
+    if arr.ndim != 2:
+        raise ValueError("points must be integer vectors of one dimension")
+    if arr.min() < 0 or arr.max() >= p:
         raise ValueError(f"point coordinates must lie in [0, {p})")
-    return pts, p
+    step = arr[1:] - arr[:-1]
+    if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+        arr = np.unique(arr, axis=0)
+    return arr, p
 
 
 def _scan_bases(arr: np.ndarray) -> np.ndarray:
@@ -179,14 +191,13 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
 
     The violation is three distinct points of the set that are collinear.
     """
-    pts, p = _as_point_array(points, p)
+    arr, p = _as_point_array(points, p)
     if not is_prime(p):
         raise ValueError(f"collinearity over Z_{p} needs a prime modulus")
-    if len(pts) <= 2:
+    if len(arr) <= 2:
         return CapCheck(True)
     if p >= 2 ** 31:  # products of two residues must fit in int64
         raise ValueError(f"the collinearity scan needs p < 2**31, got {p}")
-    arr = np.array(pts, dtype=np.int64)
     n = arr.shape[1]
     # inverses mod p; a negative residue -a indexes entry p - a
     inverse = np.zeros(p, dtype=np.int64)
@@ -204,13 +215,15 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
         repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
         if len(repeats):
             j, k = np.flatnonzero(keys == ordered[repeats[0]])[:2]
-            return CapCheck(False, (pts[i], pts[i + 1 + j], pts[i + 1 + k]))
+            triple = arr[[i, i + 1 + j, i + 1 + k]].tolist()
+            return CapCheck(False, tuple(tuple(q) for q in triple))
     return CapCheck(True)
 
 
 def collinear_triple_naive(points, p: int | None = None) -> CapCheck:
     """Cubic-time oracle: test linear dependence of y - x and z - x directly."""
-    pts, p = _as_point_array(points, p)
+    arr, p = _as_point_array(points, p)
+    pts = [tuple(q) for q in arr.tolist()]
     n_pts = len(pts)
     for i in range(n_pts):
         for j in range(i + 1, n_pts):

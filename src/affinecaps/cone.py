@@ -9,9 +9,11 @@ phase-one simplex with Bland's rule always terminates and yields either a
 feasible point (scaled to an integer witness) or simplex multipliers that
 turn into a dual vector y with A^T y >= 1, which proves triviality by
 0 = y^T A x >= sum(x) for any x >= 0 in the cone. The simplex runs on an
-integer tableau over one common denominator, pivoted by the fraction-free
-``reducibility.pivot``; Fractions appear only in the returned point or
-multipliers.
+integer numpy tableau over one common denominator, pivoted by the
+fraction-free ``reducibility.pivot``, which works in int64 while the entries
+stay below 2**31 and in Python ints beyond. Bland's rule reads exact Python
+ints out of the tableau, and Fractions of Python ints appear only in the
+returned point or multipliers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .progressions import ConstraintSystem
-from .reducibility import clear_denominators, pivot
+from .reducibility import clear_denominators, pivot, tableau
 
 
 class InstanceTooLarge(ValueError):
@@ -49,7 +51,7 @@ class ConeCertificate:
 
 
 def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
-    """Feasibility of {A x = 0, sum(x) = 1, x >= 0} by exact phase-one simplex.
+    """Feasibility of {A x = 0, sum(x) = 1, x >= 0}, A integer, by exact phase-one simplex.
 
     Returns ("feasible", x) with x a rational point, or ("infeasible", y*)
     with y* the optimal simplex multipliers (one per constraint row, the
@@ -60,40 +62,41 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     # original variables, m artificials, then the RHS; rows: the m
     # constraints, then the objective z_j - c_j for min sum(artificials)
     # with the objective value last
-    tab = [[int(v) for v in row] + [0] * (m + 1) for row in a_rows]
-    tab.append([1] * n_cols + [0] * m + [1])
+    rows = [list(row) + [0] * (m + 1) for row in a_rows]
+    rows.append([1] * n_cols + [0] * m + [1])
     for i in range(m):
-        tab[i][n_cols + i] = 1
+        rows[i][n_cols + i] = 1
+    rows.append([sum(col) for col in zip(*rows)][:n_cols] + [0] * m + [1])
+    tab = tableau(rows)
     basis = [n_cols + i for i in range(m)]
-    tab.append([sum(tab[i][j] for i in range(m)) for j in range(n_cols)]
-               + [0] * m + [1])
     det = 1
 
     while True:
-        obj = tab[m]
-        enter = next((j for j in range(n_cols + m) if obj[j] > 0), None)
-        if enter is None:
+        entering = (tab[m, :-1] > 0).nonzero()[0]
+        if not len(entering):
             break
+        enter = int(entering[0])
         # Bland's ratio test: least rhs/coeff over positive coeffs, compared
         # by cross-multiplication, ties to the least basic variable
+        coeffs, rhs = tab[:m, enter].tolist(), tab[:m, -1].tolist()
         leave = None
-        for i in range(m):
-            coeff = tab[i][enter]
-            if coeff > 0 and (leave is None or (tab[i][-1] * tab[leave][enter], basis[i])
-                              < (tab[leave][-1] * coeff, basis[leave])):
+        for i, coeff in enumerate(coeffs):
+            if coeff > 0 and (leave is None or (rhs[i] * coeffs[leave], basis[i])
+                              < (rhs[leave] * coeff, basis[leave])):
                 leave = i
         if leave is None:  # cannot happen: objective is bounded below by 0
             raise RuntimeError("phase-one objective unbounded")
-        det = pivot(tab, leave, enter, det)  # positive pivot keeps det > 0
+        tab, det = pivot(tab, leave, enter, det)  # positive pivot keeps det > 0
         basis[leave] = enter
 
+    obj = tab[m].tolist()
     if obj[-1] > 0:
         multipliers = tuple(Fraction(obj[n_cols + i], det) + 1 for i in range(m))
         return "infeasible", multipliers
     x = [Fraction(0)] * n_cols
-    for i, var in enumerate(basis):
+    for var, value in zip(basis, tab[:m, -1].tolist()):
         if var < n_cols:
-            x[var] = Fraction(tab[i][-1], det)
+            x[var] = Fraction(value, det)
     return "feasible", tuple(x)
 
 

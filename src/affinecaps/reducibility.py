@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .progressions import ConstraintSystem, Triple, enumerate_progressions
 from .zp import DigitSetPair, LineEquation
 
@@ -96,59 +98,81 @@ def digit_reduce(pair: DigitSetPair, eq: LineEquation) -> ReductionTrace:
     return ReductionTrace("digit", tuple(steps), not remaining)
 
 
-def pivot(rows: list[list[int]], r: int, col: int, det: int) -> int:
-    """Fraction-free Gauss-Jordan pivot on ``rows[r][col]``, in place.
-
-    The integer rows share the nonzero denominator ``det``: the tableau they
-    stand for is rows / det. Every other row becomes
-    (row * a - row[col] * rows[r]) / det with a = rows[r][col], an exact
-    division (Bareiss, Math. Comp. 1968), so column ``col`` becomes a unit
-    column and the returned new common denominator is a. A row with a zero
-    in ``col`` is only rescaled by a / det, and left alone when a == det.
-    """
-    lead = rows[r]
-    a = lead[col]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[col]
-        if f:
-            rows[i] = [(v * a - f * w) // det for v, w in zip(row, lead)]
-        elif a != det:
-            rows[i] = [v * a // det for v in row]
-    return a
-
-
 def clear_denominators(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """The integers values * L and L, the least common multiple of the denominators."""
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+INT64_SAFE = 2 ** 31  # entries below this in absolute value pivot exactly in int64
+
+
+def tableau(rows: Sequence[Sequence[int | Fraction]]) -> np.ndarray:
+    """The rows, each cleared of denominators, as an integer tableau for ``pivot``.
+
+    Clearing scales each row, which leaves its echelon form unchanged. The
+    tableau is int64 when every entry fits, else an array of Python ints.
+    """
+    tab = np.array(rows)
+    if tab.dtype == np.int64:  # integer rows: nothing to clear
+        return tab
+    rows = [clear_denominators(row)[0] for row in rows]
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def pivot(tab: np.ndarray, r: int, col: int, det: int) -> tuple[np.ndarray, int]:
+    """Fraction-free Gauss-Jordan pivot on ``tab[r, col]``.
+
+    The integer rows share the nonzero denominator ``det`` (1, or what the
+    previous pivot returned): the tableau they stand for is tab / det. Every
+    other row becomes (row * a - row[col] * tab[r]) / det with
+    a = tab[r, col], an exact division (Bareiss, Math. Comp. 1968), so
+    column ``col`` becomes a unit column and a is the new common
+    denominator. Returns the new tableau and a, a Python int.
+
+    The update is exact in int64 while every entry is below 2**31 in
+    absolute value: both products are then below 2**62 and their difference
+    below 2**63. When an entry is not, the tableau becomes an array of
+    Python ints (``dtype=object``) first and stays one.
+    """
+    if tab.dtype != object and not -INT64_SAFE < tab.min() <= tab.max() < INT64_SAFE:
+        tab = tab.astype(object)
+    lead = tab[r]
+    a = int(lead[col])
+    out = tab * a
+    out -= tab[:, col, None] * lead
+    out //= det
+    out[r] = lead
+    return out, a
+
+
 def _eliminate(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
     """Fraction-free Gauss-Jordan elimination to reduced row echelon form.
 
     Returns integer rows and their common denominator ``det`` (nonzero, of
-    either sign): rows / det is the reduced row echelon form. Each row is
-    first cleared of denominators, a row scaling that leaves the echelon
-    form unchanged.
+    either sign): rows / det is the reduced row echelon form.
     """
-    m = [clear_denominators(row)[0] for row in matrix]
     det = 1
-    if not m:
-        return m, det
-    n_rows, n_cols = len(m), len(m[0])
+    if not len(matrix):
+        return [], det
+    m = tableau(matrix)
+    n_rows, n_cols = m.shape
     piv_row = 0
     for col in range(n_cols):
-        found = next((r for r in range(piv_row, n_rows) if m[r][col] != 0), None)
-        if found is None:
+        nonzero = m[piv_row:, col].nonzero()[0]
+        if not len(nonzero):
             continue
-        m[piv_row], m[found] = m[found], m[piv_row]
-        det = pivot(m, piv_row, col, det)
+        found = piv_row + int(nonzero[0])
+        if found != piv_row:
+            m[[piv_row, found]] = m[[found, piv_row]]
+        m, det = pivot(m, piv_row, col, det)
         piv_row += 1
         if piv_row == n_rows:
             break
-    return m, det
+    return m.tolist(), det
 
 
 def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:

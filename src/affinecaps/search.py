@@ -298,8 +298,8 @@ def max_admissible_size(
     never an unproven claim; the same holds when the sweep is capped by
     ``max_size`` before reaching a fully refuted level. A ``max_size``
     above p - 1 is lowered to p - 1; ``min_size`` outside 2..p-1, a
-    ``max_size`` below ``min_size`` and fewer than one worker raise
-    ValueError before any work starts.
+    ``max_size`` below ``min_size``, fewer than one worker and a negative
+    budget raise ValueError before any work starts.
     """
     p = Prime(p)
     if not 2 <= min_size <= p - 1:
@@ -309,6 +309,9 @@ def max_admissible_size(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     budget = budget or SearchBudget()
+    for name, limit in (("seconds", budget.max_seconds), ("candidates", budget.max_candidates)):
+        if limit is not None and not limit >= 0:  # NaN fails too
+            raise ValueError(f"the {name} budget must not be negative, got {limit}")
     top = p - 1 if max_size is None else min(max_size, p - 1)
     started = time.monotonic()
     ckpt = _Checkpoint(checkpoint_path)

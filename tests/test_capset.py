@@ -96,6 +96,7 @@ def test_trivial_point_sets_pass():
     [(0, 1, 2), (0, 1, -1)],
     [(0, 1, 2), (0, 1)],
     [(0, 1), (1, 2), (3, 4, 5)],
+    [(0, 1, 2), (0, 1, 2 ** 64)],
 ])
 def test_raw_points_outside_the_grid_are_rejected(points):
     for check in (verify_cap, collinear_triple_naive):

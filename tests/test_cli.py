@@ -202,6 +202,24 @@ def test_search_budget_exit_code(tmp_path, capsys):
     assert report["budget_exhausted"] is True
 
 
+@pytest.mark.parametrize("options", [
+    ("--budget-seconds", "-1"), ("--budget-candidates", "-1"),
+])
+def test_search_rejects_negative_budgets_and_keeps_the_report(tmp_path, capsys, options):
+    report = tmp_path / "search_p7.json"
+    assert run(capsys, "--out", str(tmp_path), "search", "-p", "7")[0] == 0
+    kept = report.read_bytes()
+    code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7", *options)
+    assert code == 2 and err.startswith("error: ")
+    assert report.read_bytes() == kept
+
+
+def test_search_zero_budget_still_exits_with_the_budget_code(tmp_path, capsys):
+    code, _, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7", "--budget-candidates", "0")
+    assert code == 3
+    assert json.loads((tmp_path / "search_p7.json").read_text())["budget_exhausted"] is True
+
+
 def test_search_resume_matches_fresh(tmp_path, capsys):
     out_a = tmp_path / "a"
     run(capsys, "--out", str(out_a), "search", "-p", "7", "--budget-candidates", "5")

@@ -9,9 +9,12 @@ simplex over ``Fraction`` entries (``tests/oracles.py``) return.
 import random
 from fractions import Fraction
 
+import pytest
+
 from oracles import fraction_phase_one, fraction_rref
 from affinecaps import rref, search
-from affinecaps.cone import _phase_one
+from affinecaps.cone import _phase_one, cone_trivial
+from affinecaps.reducibility import _eliminate
 from affinecaps.search import max_admissible_size
 
 
@@ -70,3 +73,70 @@ def test_rref_of_fraction_rows_matches_the_fraction_reference():
         assert_same_rref([[Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                            for _ in range(n_cols)] for _ in range(n_rows)])
     assert fractional > 50
+
+
+def assert_python_ints(fractions):
+    assert all(type(v.numerator) is int and type(v.denominator) is int for v in fractions)
+
+
+@pytest.mark.parametrize("low", [2 ** 31, 2 ** 40, 2 ** 64])
+def test_entries_past_31_bits_match_the_fraction_reference(low):
+    # entries from 2**31 up overflow int64 products in the pivot, so the
+    # kernel has to leave int64 before the first pivot (or never enter it)
+    rng = random.Random(low)
+    statuses = set()
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 8)
+        matrix = [[rng.choice((-1, 0, 1)) * rng.randint(low, 2 * low) for _ in range(n_cols)]
+                  for _ in range(n_rows)]
+        assert_same_rref(matrix)
+        assert_python_ints(v for row in rref(matrix) for v in row)
+        statuses.add(assert_same_phase_one(matrix, n_cols))
+        assert_python_ints(_phase_one(matrix, n_cols)[1])
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_small_entries_that_grow_past_31_bits_match_the_fraction_reference():
+    # the products of the entries of a dense 12 x 12 matrix of 5-bit entries
+    # pass 31 bits within a few pivots
+    rng = random.Random(407)
+    for _ in range(20):
+        matrix = [[rng.randint(-31, 31) for _ in range(13)] for _ in range(12)]
+        assert_same_rref(matrix)
+        assert_same_phase_one(matrix, 13)
+
+
+def test_rref_of_fraction_rows_with_large_denominators_matches_the_fraction_reference():
+    rng = random.Random(406)
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(2, 8)
+        matrix = [[Fraction(rng.randint(-6, 6), rng.randint(1, 2 ** 40)) for _ in range(n_cols)]
+                  for _ in range(n_rows)]
+        assert_same_rref(matrix)
+        assert_python_ints(v for row in rref(matrix) for v in row)
+
+
+def test_no_numpy_scalar_leaves_the_kernel(monkeypatch):
+    systems = []
+
+    def recording_cone_trivial(system):
+        systems.append(system)
+        return cone_trivial(system)
+
+    monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
+    for p in (5, 7, 11, 13):
+        max_admissible_size(p)
+    assert len(systems) > 300
+    witnesses = 0
+    for system in systems:
+        rows, det = _eliminate(system.matrix)
+        assert type(det) is int and all(type(v) is int for row in rows for v in row)
+        assert_python_ints(v for row in rref(system.matrix) for v in row)
+        assert_python_ints(_phase_one(system.matrix, system.n_cols)[1])
+        cert = cone_trivial(system)
+        if cert.trivial:
+            assert_python_ints(cert.dual)
+        else:
+            witnesses += 1
+            assert all(type(v) is int for v in cert.witness)
+    assert witnesses

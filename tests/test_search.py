@@ -139,6 +139,23 @@ def test_sweep_rejects_bad_sizes_and_worker_counts_up_front(tmp_path, kwargs):
     assert not ckpt.exists() and not (tmp_path / "certs").exists()
 
 
+@pytest.mark.parametrize("budget", [
+    SearchBudget(max_seconds=-1), SearchBudget(max_candidates=-1),
+    SearchBudget(max_seconds=float("nan")), SearchBudget(max_seconds=5, max_candidates=-3),
+])
+def test_sweep_rejects_negative_budgets_up_front(tmp_path, budget):
+    ckpt = tmp_path / "sweep.jsonl"
+    with pytest.raises(ValueError):
+        max_admissible_size(7, budget=budget, checkpoint_path=ckpt, cert_dir=tmp_path / "certs")
+    assert not ckpt.exists() and not (tmp_path / "certs").exists()
+
+
+def test_sweep_zero_budgets_give_an_empty_partial_report():
+    for budget in (SearchBudget(max_seconds=0), SearchBudget(max_candidates=0)):
+        report = max_admissible_size(7, budget=budget)
+        assert report.budget_exhausted and report.candidates_examined == 0
+
+
 def test_sweep_lowers_a_large_max_size_to_p_minus_1():
     assert render_report(max_admissible_size(7, max_size=100)) == \
         render_report(max_admissible_size(7))
