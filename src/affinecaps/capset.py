@@ -296,7 +296,9 @@ def eg_constant(p: int) -> float:
     """The base of the polynomial-method upper bound (J(p)*p)^n, divided by p.
 
     J(p) = (1/p) * min over 0 < t < 1 of (1 - t^p) / ((1 - t) * t^((p-1)/3)),
-    minimized by a coarse bracketing grid followed by golden-section search.
+    minimized by golden-section search. The objective is the sum of
+    t^(k - (p-1)/3) over k < p, which at t = e^s is a sum of exponentials
+    and so convex in s: it has one minimum on (0, 1) and no other dip.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 3, got {p}")
@@ -305,19 +307,10 @@ def eg_constant(p: int) -> float:
     def f(t: float) -> float:
         return (1 - t ** p) / ((1 - t) * t ** expo)
 
-    eps = 1e-9
-    grid = 10_000
-    lo, hi = eps, 1 - eps
-    step = (hi - lo) / grid
-    best_i = min(range(grid + 1), key=lambda i: f(lo + i * step))
-    a = max(lo, lo + (best_i - 1) * step)
-    b = min(hi, lo + (best_i + 1) * step)
-
     inv_phi = (math.sqrt(5) - 1) / 2
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+    a, b, c, d = 0.0, 1.0, 1 - inv_phi, inv_phi
     fc, fd = f(c), f(d)
-    while (b - a) > 1e-10 * max(abs(a), 1.0):
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -345,9 +338,10 @@ class BoundTableRow:
     mu: float              # log_p(new_bound)
 
 
-def bound_table(p: int, best_d_size: int | None = None) -> BoundTableRow:
+def bound_table(p: int) -> BoundTableRow:
+    best_d_size = KNOWN_BEST_DIGIT_SET_SIZE.get(p)
     if best_d_size is None:
-        best_d_size = KNOWN_BEST_DIGIT_SET_SIZE[p]
+        raise ValueError(f"no known best digit-set size for p={p}")
     return BoundTableRow(
         p=p,
         bose_bound=p ** (2 / 3),

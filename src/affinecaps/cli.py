@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .capset import (
-    KNOWN_BEST_DIGIT_SET_SIZE,
     bound_table,
     build_cap,
     read_points,
@@ -24,7 +23,7 @@ from .capset import (
 )
 from .equivalence import classification_to_jsonable, classify
 from .progressions import enumerate_progressions, table_to_jsonable
-from .reducibility import render_trace
+from .reducibility import ReductionTrace, render_trace
 from .search import (
     SearchBudget,
     certificate_payload,
@@ -108,8 +107,8 @@ def cmd_check(args) -> int:
         state = "closed" if outcome.trivial else "REFUTED"
         lines.append(f"b = {outcome.b} ({equation_str(eq)}): {state} by {outcome.method}"
                      f"  [cert {digest[:12]}]")
-        if outcome.trace is not None:
-            lines.append(render_trace(outcome.trace, indent="    "))
+        if isinstance(outcome.proof, ReductionTrace):
+            lines.append(render_trace(outcome.proof))
     lines.append("admissible" if verdict.admissible else "inadmissible")
     lines.append(f"certificates written to {cert_dir}")
     _emit(args, summary, "\n".join(lines))
@@ -176,12 +175,7 @@ def _truncate5(v: float) -> str:
 
 def cmd_table(args) -> int:
     primes = [int(v) for v in args.p.replace(",", " ").split()]
-    rows = []
-    for p in primes:
-        best = KNOWN_BEST_DIGIT_SET_SIZE.get(p)
-        if best is None:
-            raise CliError(f"no known best digit-set size for p={p}")
-        rows.append(bound_table(p, best))
+    rows = [bound_table(p) for p in primes]
     header = f"{'p':>4} {'p^(2/3)':>12} {'(p^4+p^2-1)^(1/6)':>18} {'new':>4} {'mu':>9}"
     lines = [header]
     for row in rows:

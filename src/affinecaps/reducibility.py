@@ -262,7 +262,7 @@ def verify_matrix_trace(system: ConstraintSystem, trace: ReductionTrace) -> bool
 
 
 def _ints(values, length: int | None = None) -> tuple[int, ...]:
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values) \
+    if not isinstance(values, list) or not all(type(v) is int for v in values) \
             or length not in (None, len(values)):
         raise ValueError(f"expected a list of integers, got {values!r}")
     return tuple(values)
@@ -280,8 +280,10 @@ def trace_from_jsonable(data: dict) -> ReductionTrace:
             else:
                 (row,) = _ints([s["row"]])
                 steps.append(MatrixStep(row, _ints(s["columns"])))
-        return ReductionTrace(data["kind"], tuple(steps),
-                              data["verdict"] == "reduced-to-empty")
+        verdict = data["verdict"]
+        if verdict not in ("reduced-to-empty", "stuck"):
+            raise ValueError(f"unknown reduction verdict {verdict!r}")
+        return ReductionTrace(data["kind"], tuple(steps), verdict == "reduced-to-empty")
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed reduction trace: {exc!r}") from exc
 
@@ -299,21 +301,21 @@ def trace_to_jsonable(trace: ReductionTrace) -> dict:
     return {"kind": trace.kind, "verdict": trace.verdict, "steps": steps}
 
 
-def render_trace(trace: ReductionTrace, indent: str = "  ") -> str:
-    """Human-readable narration of a reduction, one line per step."""
+def render_trace(trace: ReductionTrace) -> str:
+    """Human-readable narration of a reduction, one indented line per step."""
     lines = []
     for s in trace.steps:
         if isinstance(s, DigitStep):
             triples = ", ".join(str(t) for t in s.removed)
             lines.append(
-                f"{indent}digit {s.digit} never occurs at position {s.position}: "
+                f"    digit {s.digit} never occurs at position {s.position}: "
                 f"delete {triples}"
             )
         else:
             cols = ", ".join(str(c + 1) for c in s.columns)
             lines.append(
-                f"{indent}row {s.row + 1} of the echelon form is single-signed: "
+                f"    row {s.row + 1} of the echelon form is single-signed: "
                 f"delete columns {cols}"
             )
-    lines.append(f"{indent}{trace.verdict}")
+    lines.append(f"    {trace.verdict}")
     return "\n".join(lines)

@@ -55,13 +55,25 @@ def candidates(p: int, size: int):
 
 @dataclass(frozen=True)
 class RepOutcome:
-    """How one equation-class representative was settled."""
+    """How one equation-class representative was settled: by its proof.
+
+    ``proof`` is the digit or matrix ``ReductionTrace`` that reached the
+    empty state, or the ``ConeCertificate`` of the cone test.
+    """
 
     b: int
-    method: str  # "digit" | "matrix" | "cone"
-    trivial: bool
-    trace: ReductionTrace | None = None
-    certificate: ConeCertificate | None = None
+    proof: ReductionTrace | ConeCertificate
+
+    @property
+    def method(self) -> str:
+        """The closing method: digit, matrix or cone."""
+        return self.proof.kind if isinstance(self.proof, ReductionTrace) else "cone"
+
+    @property
+    def trivial(self) -> bool:
+        if isinstance(self.proof, ReductionTrace):
+            return self.proof.reduced
+        return self.proof.trivial
 
 
 @dataclass(frozen=True)
@@ -80,29 +92,30 @@ def check_pair(pair: DigitSetPair) -> PairVerdict:
     outcomes = []
     for b in equation_classes(pair.p).representatives:
         eq = make_line_equation(pair.p, b)
-        trace = digit_reduce(pair, eq)
-        if trace.reduced:
-            outcomes.append(RepOutcome(b, "digit", True, trace=trace))
-            continue
-        system = build_constraint_system(enumerate_progressions(pair, eq))
-        trace = matrix_reduce(system)
-        if trace.reduced:
-            outcomes.append(RepOutcome(b, "matrix", True, trace=trace))
-            continue
-        cert = cone_trivial(system)
-        outcomes.append(RepOutcome(b, "cone", cert.trivial, certificate=cert))
-        if not cert.trivial:
+        proof = digit_reduce(pair, eq)
+        if not proof.reduced:
+            system = build_constraint_system(enumerate_progressions(pair, eq))
+            proof = matrix_reduce(system)
+            if not proof.reduced:
+                proof = cone_trivial(system)
+        outcomes.append(RepOutcome(b, proof))
+        if not outcomes[-1].trivial:
             return PairVerdict(pair, False, tuple(outcomes))
     return PairVerdict(pair, True, tuple(outcomes))
 
 
+def _proof_to_jsonable(outcome: RepOutcome) -> dict:
+    """{b, method, trace | certificate}: the proof as both documents record it."""
+    proof = outcome.proof
+    if isinstance(proof, ReductionTrace):
+        encoded = {"trace": trace_to_jsonable(proof)}
+    else:
+        encoded = {"certificate": certificate_to_jsonable(proof)}
+    return {"b": outcome.b, "method": outcome.method, **encoded}
+
+
 def outcome_to_jsonable(outcome: RepOutcome) -> dict:
-    out: dict = {"b": outcome.b, "method": outcome.method, "trivial": outcome.trivial}
-    if outcome.trace is not None:
-        out["trace"] = trace_to_jsonable(outcome.trace)
-    if outcome.certificate is not None:
-        out["certificate"] = certificate_to_jsonable(outcome.certificate)
-    return out
+    return {**_proof_to_jsonable(outcome), "trivial": outcome.trivial}
 
 
 @dataclass(frozen=True)
@@ -181,48 +194,43 @@ def store_certificate(payload: dict, directory) -> str:
 
 def certificate_payload(pair: DigitSetPair, outcome: RepOutcome) -> dict:
     """Self-contained certificate document: context plus proof object."""
-    payload = {
-        "p": int(pair.p),
-        "digits": list(pair.digits),
-        "fixed": list(pair.fixed),
-        "b": outcome.b,
-        "method": outcome.method,
-    }
-    if outcome.trace is not None:
-        payload["trace"] = trace_to_jsonable(outcome.trace)
-    if outcome.certificate is not None:
-        payload["certificate"] = certificate_to_jsonable(outcome.certificate)
-    return payload
+    return {"p": int(pair.p), "digits": list(pair.digits), "fixed": list(pair.fixed),
+            **_proof_to_jsonable(outcome)}
 
 
 def verify_certificate_payload(data) -> bool:
     """Re-check a document written by ``certificate_payload``, trusting nothing in it.
 
     Returns whether the proof object holds for the stated pair and
-    equation; a proof object of the wrong dimension fails. Raises
-    ValueError (or KeyError for a missing field) when the document is
-    malformed.
+    equation; a proof object of the wrong dimension, or a reduction trace
+    that does not reach the empty state, fails. Raises ValueError (or
+    KeyError for a missing field) when the document is malformed.
     """
     if not isinstance(data, dict):
         raise ValueError("certificate document must be a JSON object")
     for key, kind in (("p", int), ("b", int), ("digits", list), ("fixed", list)):
-        if not isinstance(data.get(key), kind):
+        if type(data.get(key)) is not kind:  # JSON true and false are not integers
             raise ValueError(f"certificate field {key!r} must be a JSON {kind.__name__}")
-    if not all(isinstance(d, int) for d in data["digits"] + data["fixed"]):
+    if not all(type(d) is int for d in data["digits"] + data["fixed"]):
         raise ValueError("certificate digits must be integers")
     pair = digit_pair(data["p"], data["digits"], data["fixed"])
     eq = make_line_equation(data["p"], data["b"])
     method = data["method"]
-    if method == "digit":
-        return verify_digit_trace(pair, eq, trace_from_jsonable(data["trace"]))
-    if method not in ("matrix", "cone"):
+    if method not in ("digit", "matrix", "cone"):
         raise ValueError(f"unknown certificate method {method!r}")
+    if method == "cone":
+        proof = certificate_from_jsonable(data["certificate"])
+    else:
+        proof = trace_from_jsonable(data["trace"])
+        if not proof.reduced:  # a faithful replay of a stuck trace proves nothing
+            return False
+    if method == "digit":
+        return verify_digit_trace(pair, eq, proof)
     system = build_constraint_system(enumerate_progressions(pair, eq))
     if method == "matrix":
-        return verify_matrix_trace(system, trace_from_jsonable(data["trace"]))
-    cert = certificate_from_jsonable(data["certificate"])
+        return verify_matrix_trace(system, proof)
     try:
-        return verify_certificate(system, cert)
+        return verify_certificate(system, proof)
     except ValueError:  # certificate of the wrong dimension
         return False
 
@@ -240,7 +248,7 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> tuple[dict, RepOutcome
         return record, None
     refuting = verdict.outcomes[-1]
     record["refuted_b"] = refuting.b
-    record["witness"] = [str(v) for v in refuting.certificate.witness]
+    record["witness"] = [str(v) for v in refuting.proof.witness]
     return record, refuting
 
 

@@ -118,26 +118,19 @@ class EquationClassPartition:
 
 @lru_cache(maxsize=None)
 def equation_classes(p: int) -> EquationClassPartition:
-    """Group the p-2 line equations under the reverse/swap equivalence moves."""
+    """Group the p-2 line equations under the reverse/swap equivalence moves.
+
+    The moves permute the coefficients (1, b, c) of x + b*y + c*z = 0 and
+    rescale x's back to 1, so the class of b is {b, c, 1/b, 1/c, b/c, c/b}
+    mod p. Classes are disjoint, so sorting them orders them by least member.
+    """
     p = Prime(p)
-    seen: set[int] = set()
-    classes: list[tuple[int, ...]] = []
-    for b0 in range(1, p - 1):
-        if b0 in seen:
-            continue
-        orbit = {b0}
-        frontier = [b0]
-        while frontier:
-            b = frontier.pop()
-            eq = make_line_equation(p, b)
-            for nxt in (mirror_partner(eq), swap_partner(eq)):
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
-    return EquationClassPartition(p, tuple(classes))
+    classes = set()
+    for b in range(1, p - 1):
+        c = -(b + 1) % p
+        ib, ic = pow(b, -1, p), pow(c, -1, p)
+        classes.add(tuple(sorted({b, c, ib, ic, b * ic % p, c * ib % p})))
+    return EquationClassPartition(p, tuple(sorted(classes)))
 
 
 def affine_image(digits, a: int, b: int, p: int) -> tuple[int, ...]:

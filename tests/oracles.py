@@ -20,6 +20,10 @@ compare their verdicts with each other and with the pipeline.
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
 least image of a digit set, the reference for ``normalize_digit_set``.
 
+``searched_equation_classes`` closes each b under the reverse and swap
+moves by breadth-first search, the reference for the closed-form classes
+of ``equation_classes``.
+
 ``fraction_rref`` and ``fraction_phase_one`` are the elimination and the
 phase-one simplex carried out over ``Fraction`` entries, one division per
 pivot. They are the references for the fraction-free integer kernel of the
@@ -48,7 +52,7 @@ from affinecaps import (
     matrix_reduce,
 )
 from affinecaps.reducibility import MatrixStep, ReductionTrace
-from affinecaps.zp import affine_image
+from affinecaps.zp import affine_image, mirror_partner, swap_partner
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
@@ -128,6 +132,26 @@ def combined_reducible(pair) -> bool:
 def brute_normalize(digits, p: int) -> tuple[int, ...]:
     """Lexicographically least image of the digit set over all affine maps."""
     return min(affine_image(digits, a, b, p) for a in range(1, p) for b in range(p))
+
+
+def searched_equation_classes(p: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of b in 1..p-2 under the two moves, ordered by least member."""
+    seen: set[int] = set()
+    classes: list[tuple[int, ...]] = []
+    for b0 in range(1, p - 1):
+        if b0 in seen:
+            continue
+        orbit = {b0}
+        frontier = [b0]
+        while frontier:
+            eq = make_line_equation(p, frontier.pop())
+            for nxt in (mirror_partner(eq), swap_partner(eq)):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
 
 
 def _fraction_pivot(rows: list[list[Fraction]], r: int, col: int) -> None:

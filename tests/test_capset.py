@@ -219,7 +219,7 @@ def test_eg_constant_values():
 
 def test_eg_constant_grid_cross_check():
     # independent coarse evaluation at two resolutions
-    for p in (3, 7, 23):
+    for p in (3, 7, 23, 109):
         expo = (p - 1) / 3
         vals = []
         for grid in (20011, 40009):
@@ -233,7 +233,7 @@ def test_eg_constant_grid_cross_check():
 
 
 def test_eg_constant_decreasing():
-    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 109, 211, 1009]
     values = [eg_constant(p) for p in primes]
     assert all(a > b for a, b in zip(values, values[1:]))
 

@@ -60,10 +60,19 @@ def test_check_inadmissible_exit_code(tmp_path, capsys):
     assert "inadmissible" in out
 
 
+# the certificate that ``check`` stores for b=1 of the p=11 pair below
+P11_B1_STEPS = [{"position": 3, "digit": 1, "removed": [[1, 5, 3], [5, 1, 3]]},
+                {"position": 3, "digit": 3, "removed": [[3, 5, 4], [5, 3, 4]]}]
+P11_B1_CERT = {"p": 11, "digits": [0, 1, 3, 4, 5], "fixed": [0, 1, 3], "b": 1, "method": "digit",
+               "trace": {"kind": "digit", "verdict": "reduced-to-empty", "steps": P11_B1_STEPS}}
+
+
 def test_cert_verify_rejects_tampering(tmp_path, capsys):
     code, _, _ = run(capsys, "--out", str(tmp_path), "check",
                      "-p", "11", "-D", "0,1,3,4,5", "--Dprime", "0,1,3")
     assert code == 0
+    stored = [json.loads(path.read_text()) for path in (tmp_path / "certs").glob("*.json")]
+    assert P11_B1_CERT in stored
     cert_path = next((tmp_path / "certs").glob("*.json"))
     data = json.loads(cert_path.read_text())
     if "trace" in data and data["trace"]["steps"]:
@@ -89,9 +98,12 @@ def test_cert_verify_rejects_a_truncated_matrix_trace(tmp_path, capsys):
     assert data["trace"]["verdict"] == "reduced-to-empty"
     data["trace"]["steps"].pop()
     truncated = tmp_path / "truncated.json"
-    truncated.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "cert-verify", str(truncated))
-    assert code == 1 and "FAILED" in out
+    for verdict in ("reduced-to-empty", "stuck"):
+        # relabelled stuck, the truncated trace replays faithfully but proves nothing
+        data["trace"]["verdict"] = verdict
+        truncated.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "cert-verify", str(truncated))
+        assert code == 1 and "FAILED" in out, verdict
 
 
 @pytest.mark.parametrize("document", [
@@ -107,8 +119,16 @@ def test_cert_verify_rejects_a_truncated_matrix_trace(tmp_path, capsys):
     # truncated, these floats are the true witness (1, 0, 1, 0, 1, 0) of this pair
     {"p": 13, "digits": [0, 1, 2, 3, 4], "fixed": [0, 1, 2, 3, 4], "b": 3, "method": "cone",
      "certificate": {"kind": "nontrivial", "witness": [1.9, 0, 1, 0, 1.5, 0]}},
+    {"p": 13, "digits": [0, 1, 2, 3, 4], "fixed": [0, 1, 2, 3, 4], "b": 3, "method": "digit",
+     "trace": {"kind": "digit", "verdict": "bogus", "steps": []}},
+    # JSON booleans standing for 1 and 0 in a stored certificate
+    {**P11_B1_CERT, "b": True},
+    {**P11_B1_CERT, "digits": [False, True, 3, 4, 5]},
+    {**P11_B1_CERT, "trace": {**P11_B1_CERT["trace"], "steps": [
+        {**P11_B1_STEPS[0], "digit": True}, P11_B1_STEPS[1]]}},
 ], ids=["top-level-list", "digit-step-not-object", "dual-not-list", "dual-zero-denominator",
-        "unknown-kind", "witness-of-floats"])
+        "unknown-kind", "witness-of-floats", "unknown-verdict", "boolean-b",
+        "boolean-digits", "boolean-step-digit"])
 def test_cert_verify_malformed_document_is_an_input_error(tmp_path, capsys, document):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
@@ -168,6 +188,12 @@ def test_table_five_decimal_columns(capsys):
         assert fields[3] == str(new_bound)
     row11 = next(ln for ln in lines if ln.split()[0] == "11").split()
     assert row11[4] == "0.67118"
+
+
+def test_table_rejects_a_prime_without_a_known_best_size(capsys):
+    code, out, err = run(capsys, "table", "-p", "41,43")
+    assert code == 2 and not out
+    assert err == "error: no known best digit-set size for p=43\n"
 
 
 def test_search_p7_cli(tmp_path, capsys):

@@ -53,14 +53,14 @@ def test_check_pair_inadmissible_short_circuits_with_witness():
     assert not verdict.admissible
     last = verdict.outcomes[-1]
     assert last.method == "cone" and not last.trivial
-    assert last.certificate.witness == (1, 0, 1, 0, 1, 0)
+    assert last.proof.witness == (1, 0, 1, 0, 1, 0)
     assert last.b == 3
 
 
 def test_check_pair_empty_tables_trivially_admissible():
     verdict = check_pair(digit_pair(11, (0, 1)))
     assert verdict.admissible
-    assert all(o.method == "digit" and not o.trace.steps for o in verdict.outcomes)
+    assert all(o.method == "digit" and not o.proof.steps for o in verdict.outcomes)
 
 
 def test_sweep_p7():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import golden as G
+from oracles import searched_equation_classes
 from affinecaps import (
     Prime,
     digit_pair,
@@ -82,10 +83,15 @@ def test_swap_is_involution_and_mirror_cycles():
             eq = make_line_equation(p, b)
             partner = swap_partner(eq)
             assert swap_partner(make_line_equation(p, partner)) == b
-            # mirror stays inside the same class
+            # both moves stay inside the same class
             part = equation_classes(p)
             cls = next(c for c in part.classes if b in c)
-            assert mirror_partner(eq) in cls
+            assert mirror_partner(eq) in cls and partner in cls
+
+
+def test_closed_form_classes_match_the_move_search():
+    for p in filter(is_prime, range(5, 400)):
+        assert equation_classes(p).classes == searched_equation_classes(p), p
 
 
 def test_normalize_examples():
