@@ -85,7 +85,7 @@ def cmd_progressions(args) -> int:
 
 def cmd_check(args) -> int:
     digits = _parse_digits(args.digits)
-    fixed = _parse_digits(args.dprime) if args.dprime else None
+    fixed = None if args.dprime is None else _parse_digits(args.dprime)
     pair = digit_pair(args.p, digits, fixed)
     verdict = check_pair(pair)
     out = _outdir(args)
@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
         if not args.digits or args.n is None:
             raise CliError("need either --points-file or -D ... -n N")
         digits = _parse_digits(args.digits)
-        fixed = _parse_digits(args.dprime) if args.dprime else None
+        fixed = None if args.dprime is None else _parse_digits(args.dprime)
         pair = digit_pair(args.p, digits, fixed)
         cap = build_cap(pair, args.n)
         expected = size_estimate(pair, args.n).exact_count

@@ -84,7 +84,13 @@ class PairVerdict:
 
 
 def check_pair(pair: DigitSetPair) -> PairVerdict:
-    """Cheap reductions first, exact cone test last, per representative.
+    """Digit rule, then cone, then matrix rule on a trivial cone, per representative.
+
+    The recorded proof prefers a digit trace to a matrix trace and a
+    matrix trace to a cone certificate. The matrix rule runs only after a
+    trivial cone certificate, because it deletes only columns that are 0
+    in every x >= 0 with A x = 0: a run that reaches the empty state
+    proves the cone trivial, so on a nontrivial cone the rule is stuck.
 
     Stops at the first representative with a nonzero cone witness; the
     returned outcomes then end with that refutation.
@@ -95,9 +101,10 @@ def check_pair(pair: DigitSetPair) -> PairVerdict:
         proof = digit_reduce(pair, eq)
         if not proof.reduced:
             system = build_constraint_system(enumerate_progressions(pair, eq))
-            proof = matrix_reduce(system)
-            if not proof.reduced:
-                proof = cone_trivial(system)
+            proof = cone_trivial(system)
+            if proof.trivial:
+                trace = matrix_reduce(system)
+                proof = trace if trace.reduced else proof
         outcomes.append(RepOutcome(b, proof))
         if not outcomes[-1].trivial:
             return PairVerdict(pair, False, tuple(outcomes))
@@ -304,7 +311,8 @@ def max_admissible_size(
     refutes every candidate, which is the maximality proof for size - 1.
     An exceeded budget yields a partial report (maximality not attempted),
     never an unproven claim; the same holds when the sweep is capped by
-    ``max_size`` before reaching a fully refuted level. A ``max_size``
+    ``max_size`` before reaching a fully refuted level, and when the
+    first level it sweeps is already fully refuted. A ``max_size``
     above p - 1 is lowered to p - 1; ``min_size`` outside 2..p-1, a
     ``max_size`` below ``min_size``, fewer than one worker and a negative
     budget raise ValueError before any work starts.
@@ -365,6 +373,8 @@ def max_admissible_size(
                     found = rec
                     break
             if found is None:
+                if best is None:  # nothing admissible from min_size up: no maximum to prove
+                    break
                 refutations = tuple(
                     Refutation(tuple(r["digits"]), r["refuted_b"],
                                tuple(int(v) for v in r["witness"]))

@@ -17,6 +17,10 @@ per-representative primitive of the package to every equation-class
 representative. They never go through ``search.check_pair``, so a test can
 compare their verdicts with each other and with the pipeline.
 
+``matrix_first_check_pair`` is ``search.check_pair`` with the rules in
+their earlier order, digit, then matrix, then cone, the reference for the
+order that runs the cone before the matrix rule and records the same proofs.
+
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
 least image of a digit set, the reference for ``normalize_digit_set``.
 
@@ -52,6 +56,7 @@ from affinecaps import (
     matrix_reduce,
 )
 from affinecaps.reducibility import MatrixStep, ReductionTrace
+from affinecaps.search import PairVerdict, RepOutcome
 from affinecaps.zp import affine_image, mirror_partner, swap_partner
 
 
@@ -127,6 +132,22 @@ def combined_reducible(pair) -> bool:
     """Each representative yields to the digit rule or to the matrix rule."""
     return all(_digit_closes(pair, b) or matrix_reduce(_system(pair, b)).reduced
                for b in equation_classes(pair.p).representatives)
+
+
+def matrix_first_check_pair(pair) -> PairVerdict:
+    """Digit rule, then matrix rule, then cone per representative; stops at a refutation."""
+    outcomes = []
+    for b in equation_classes(pair.p).representatives:
+        proof = digit_reduce(pair, make_line_equation(pair.p, b))
+        if not proof.reduced:
+            system = _system(pair, b)
+            proof = matrix_reduce(system)
+            if not proof.reduced:
+                proof = cone_trivial(system)
+        outcomes.append(RepOutcome(b, proof))
+        if not outcomes[-1].trivial:
+            return PairVerdict(pair, False, tuple(outcomes))
+    return PairVerdict(pair, True, tuple(outcomes))
 
 
 def brute_normalize(digits, p: int) -> tuple[int, ...]:

@@ -136,6 +136,24 @@ def test_cert_verify_malformed_document_is_an_input_error(tmp_path, capsys, docu
     assert code == 2 and err.startswith("error: ")
 
 
+def test_check_with_an_empty_fixed_set_pins_nothing(tmp_path, capsys):
+    # with nothing pinned the b=1 cone of this pair is nontrivial
+    code, out, _ = run(capsys, "--format", "json", "--out", str(tmp_path), "check",
+                       "-p", "11", "-D", "0,1,3,4,5", "--Dprime", "")
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["fixed"] == [] and not summary["admissible"]
+
+
+def test_verify_build_mode_with_an_empty_fixed_set(capsys):
+    # every word over D, so 5**5 points with collinear triples among them
+    code, out, _ = run(capsys, "--format", "json", "verify", "-p", "11", "-D", "0,1,3,4,5",
+                       "--Dprime", "", "-n", "5")
+    assert code == 1
+    result = json.loads(out)
+    assert result["points"] == 5 ** 5 and "violation" in result
+
+
 def test_verify_build_mode(capsys):
     code, out, _ = run(capsys, "verify", "-p", "11", "-D", "0,1,3,4,5",
                        "--Dprime", "0,1,3", "-n", "5")
@@ -254,6 +272,14 @@ def test_search_resume_matches_fresh(tmp_path, capsys):
     out_b = tmp_path / "b"
     run(capsys, "--out", str(out_b), "search", "-p", "7")
     assert (out_a / "search_p7.json").read_bytes() == (out_b / "search_p7.json").read_bytes()
+
+
+def test_search_claims_no_proof_when_the_first_level_is_refuted(tmp_path, capsys):
+    code, out, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7", "--lmin", "4")
+    assert code == 0
+    assert "max admissible size None (not-attempted)" in out and "proven" not in out
+    report = json.loads((tmp_path / "search_p7.json").read_text())
+    assert report["maximality"] == "not-attempted" and report["max_size"] is None
 
 
 def test_classify_cli(tmp_path, capsys):

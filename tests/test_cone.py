@@ -7,17 +7,19 @@ import golden as G
 from oracles import (
     cone_admissible,
     cone_certificates,
-    digit_reducible,
-    matrix_reducible,
     minimal_witnesses,
 )
+from traffic import pipeline_pairs
 from affinecaps import (
     build_constraint_system,
     cone_trivial,
     digit_pair,
+    digit_reduce,
     enumerate_progressions,
+    equation_classes,
     integer_oracle,
     make_line_equation,
+    matrix_reduce,
     verify_certificate,
 )
 from affinecaps.cone import ConeCertificate, InstanceTooLarge
@@ -174,10 +176,15 @@ def test_monotone_in_fixed_digits():
 
 
 def test_reducibility_implies_cone_trivial():
-    for p, (digits, fixed) in G.PUBLISHED_PAIRS.items():
-        pair = digit_pair(p, digits, fixed)
-        if digit_reducible(pair) or matrix_reducible(pair):
-            assert cone_admissible(pair)
+    seen = set()
+    for pair in pipeline_pairs():
+        for b in equation_classes(pair.p).representatives:
+            eq = make_line_equation(pair.p, b)
+            system = build_constraint_system(enumerate_progressions(pair, eq))
+            reduced = digit_reduce(pair, eq).reduced or matrix_reduce(system).reduced
+            seen.add((reduced, cone_trivial(system).trivial))
+    # never reduced on a nontrivial cone; every other combination occurs
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_empty_fixed_set_detects_progressions():

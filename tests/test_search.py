@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 import golden as G
-from oracles import cone_admissible
-from affinecaps import digit_pair, normalize_digit_set
+from oracles import cone_admissible, matrix_first_check_pair
+from traffic import pipeline_pairs
+from affinecaps import digit_pair, normalize_digit_set, search
 from affinecaps.search import (
     SearchBudget,
     candidates,
@@ -48,6 +49,41 @@ def test_check_pair_methods_published_pairs():
     ]
 
 
+def test_cone_before_matrix_records_the_proofs_of_matrix_before_cone():
+    kinds = set()
+    for pair in pipeline_pairs():
+        verdict = check_pair(pair)
+        assert verdict == matrix_first_check_pair(pair), pair
+        kinds |= {(o.method, o.trivial) for o in verdict.outcomes}
+    assert kinds == {("digit", True), ("matrix", True), ("cone", True), ("cone", False)}
+
+
+def record_results(monkeypatch, *names):
+    """Wrap each named function as ``search`` binds it to keep the result of every call."""
+    results = {name: [] for name in names}
+    for name in names:
+        def recording(*args, _call=getattr(search, name), _results=results[name]):
+            _results.append(_call(*args))
+            return _results[-1]
+        monkeypatch.setattr(search, name, recording)
+    return results
+
+
+def test_the_matrix_rule_runs_only_on_a_trivial_cone(monkeypatch):
+    results = record_results(monkeypatch, "digit_reduce", "cone_trivial", "matrix_reduce")
+    for p in (11, 13):
+        max_admissible_size(p)
+    stuck = sum(not trace.reduced for trace in results["digit_reduce"])
+    assert len(results["cone_trivial"]) == stuck == 312
+    assert results["matrix_reduce"] == []
+    for calls in results.values():
+        calls.clear()
+    for p, (digits, fixed) in G.PUBLISHED_PAIRS.items():
+        check_pair(digit_pair(p, digits, fixed))
+    trivial = sum(cert.trivial for cert in results["cone_trivial"])
+    assert len(results["matrix_reduce"]) == trivial == 2
+
+
 def test_check_pair_inadmissible_short_circuits_with_witness():
     verdict = check_pair(digit_pair(13, (0, 1, 2, 3, 4)))
     assert not verdict.admissible
@@ -82,6 +118,10 @@ def test_sweep_size_range_caps_the_claim():
     assert report.maximality == "not-attempted"
     low = max_admissible_size(7, min_size=3)
     assert low.max_size == 3 and low.maximality == "proven"
+    for min_size in (4, 6):  # every candidate of the first level is refuted
+        none = max_admissible_size(7, min_size=min_size)
+        assert none.max_size is None and none.witness_digits is None
+        assert none.maximality == "not-attempted" and none.refutations == ()
 
 
 def test_sweep_budget_exhaustion_gives_partial_report():
