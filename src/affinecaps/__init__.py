@@ -27,7 +27,6 @@ from .reducibility import (
 from .cone import (
     ConeCertificate,
     cone_trivial,
-    integer_oracle,
     verify_certificate,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "enumerate_progressions",
     "equation_classes",
     "equation_str",
-    "integer_oracle",
     "is_prime",
     "make_line_equation",
     "matrix_reduce",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .zp import DigitSetPair, Prime, is_prime
+from .zp import MODULUS_BOUND, DigitSetPair, is_prime
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -21,10 +21,13 @@ class EnumerationTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class CapPointSet:
-    p: Prime
     n: int
     pair: DigitSetPair
     points: tuple[tuple[int, ...], ...]  # lexicographically sorted
+
+    @property
+    def p(self) -> int:
+        return self.pair.p
 
     def __len__(self) -> int:
         return len(self.points)
@@ -107,7 +110,7 @@ def build_cap(pair: DigitSetPair, n: int) -> CapPointSet:
             extend(prefix + (d,), left - 1, after)
 
     extend((), n, (n // len(pair.digits),) * len(pair.fixed))
-    return CapPointSet(pair.p, n, pair, tuple(points))
+    return CapPointSet(n, pair, tuple(points))
 
 
 @dataclass(frozen=True)
@@ -192,12 +195,10 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
     The violation is three distinct points of the set that are collinear.
     """
     arr, p = _as_point_array(points, p)
-    if not is_prime(p):
-        raise ValueError(f"collinearity over Z_{p} needs a prime modulus")
+    if not p < MODULUS_BOUND or not is_prime(p):
+        raise ValueError(f"collinearity over Z_{p} needs a prime modulus below 2**31")
     if len(arr) <= 2:
         return CapCheck(True)
-    if p >= 2 ** 31:  # products of two residues must fit in int64
-        raise ValueError(f"the collinearity scan needs p < 2**31, got {p}")
     n = arr.shape[1]
     # inverses mod p; a negative residue -a indexes entry p - a
     inverse = np.zeros(p, dtype=np.int64)
@@ -217,25 +218,6 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
             j, k = np.flatnonzero(keys == ordered[repeats[0]])[:2]
             triple = arr[[i, i + 1 + j, i + 1 + k]].tolist()
             return CapCheck(False, tuple(tuple(q) for q in triple))
-    return CapCheck(True)
-
-
-def collinear_triple_naive(points, p: int | None = None) -> CapCheck:
-    """Cubic-time oracle: test linear dependence of y - x and z - x directly."""
-    arr, p = _as_point_array(points, p)
-    pts = [tuple(q) for q in arr.tolist()]
-    n_pts = len(pts)
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            u = tuple((a - b) % p for a, b in zip(pts[j], pts[i]))
-            for k in range(j + 1, n_pts):
-                v = tuple((a - b) % p for a, b in zip(pts[k], pts[i]))
-                dependent = all(
-                    (u[a] * v[b] - u[b] * v[a]) % p == 0
-                    for a in range(len(u)) for b in range(a + 1, len(u))
-                )
-                if dependent:
-                    return CapCheck(False, (pts[i], pts[j], pts[k]))
     return CapCheck(True)
 
 
@@ -273,23 +255,6 @@ def collinear_witness_points(table, witness):
         cols.extend([(free[0],) * 3] * rest)
     x, y, z = (tuple(v[i] for v in cols) for i in range(3))
     return n, x, y, z
-
-
-def bose_cap(q: int, projective: bool = False) -> tuple[tuple[int, ...], ...]:
-    """The classical size-q^2 cap in dimension 3 built from a quadric.
-
-    Uses the smallest a making x^2 + x + a irreducible over Z_q, i.e. with
-    1 - 4a a non-square. The projective variant appends the extra point
-    (1, 0, 0, 0) and homogenizes the affine points with a trailing 1.
-    """
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    squares = {(x * x) % q for x in range(q)}
-    a = next(a for a in range(q) if (1 - 4 * a) % q not in squares)
-    pts = [((t * t + s * t + a * s * s) % q, s, t) for s in range(q) for t in range(q)]
-    if projective:
-        return tuple(sorted([(w, s, t, 1) for (w, s, t) in pts] + [(1, 0, 0, 0)]))
-    return tuple(sorted(pts))
 
 
 def eg_constant(p: int) -> float:

@@ -16,6 +16,7 @@ from pathlib import Path
 from .capset import (
     bound_table,
     build_cap,
+    eg_constant,
     read_points,
     size_estimate,
     verify_cap,
@@ -133,9 +134,9 @@ def cmd_search(args) -> int:
     status = "budget exhausted, partial" if report.budget_exhausted else report.maximality
     print(f"p={args.p}: max admissible size {report.max_size} ({status}); "
           f"{report.candidates_examined} candidates examined")
-    if report.witness_digits:
-        print(f"witness digits {list(report.witness_digits)} with fixed "
-              f"{list(report.witness_fixed)}")
+    if report.witness is not None:
+        print(f"witness digits {list(report.witness.pair.digits)} with fixed "
+              f"{list(report.witness.pair.fixed)}")
     print(f"report written to {report_path}")
     return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
 
@@ -176,19 +177,21 @@ def _truncate5(v: float) -> str:
 def cmd_table(args) -> int:
     primes = [int(v) for v in args.p.replace(",", " ").split()]
     rows = [bound_table(p) for p in primes]
-    header = f"{'p':>4} {'p^(2/3)':>12} {'(p^4+p^2-1)^(1/6)':>18} {'new':>4} {'mu':>9}"
+    upper = [p * eg_constant(p) for p in primes]
+    header = (f"{'p':>4} {'p^(2/3)':>12} {'(p^4+p^2-1)^(1/6)':>18} {'new':>4} {'mu':>9}"
+              f" {'p*J(p)':>10}")
     lines = [header]
-    for row in rows:
+    for row, up in zip(rows, upper):
         lines.append(
             f"{row.p:>4} {_truncate5(row.bose_bound):>12} "
             f"{_truncate5(row.product_bound):>18} {row.new_bound:>4} "
-            f"{_truncate5(row.mu):>9}"
+            f"{_truncate5(row.mu):>9} {_truncate5(up):>10}"
         )
     payload = {
         "rows": [
             {"p": r.p, "bose_bound": r.bose_bound, "product_bound": r.product_bound,
-             "new_bound": r.new_bound, "mu": r.mu}
-            for r in rows
+             "new_bound": r.new_bound, "mu": r.mu, "upper_bound": up}
+            for r, up in zip(rows, upper)
         ]
     }
     _emit(args, payload, "\n".join(lines))
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--save-points")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("table", help="lower-bound table rows for a list of primes")
+    sp = sub.add_parser("table", help="lower- and upper-bound table rows for a list of primes")
     sp.add_argument("-p", required=True, help="comma-separated primes")
     sp.set_defaults(func=cmd_table)
 

@@ -27,10 +27,6 @@ from .progressions import ConstraintSystem
 from .reducibility import clear_denominators, pivot, tableau
 
 
-class InstanceTooLarge(ValueError):
-    """Raised when an exhaustive enumeration would exceed the guard bound."""
-
-
 @dataclass(frozen=True)
 class ConeCertificate:
     """Verifiable proof object for a cone-triviality verdict.
@@ -149,31 +145,6 @@ def verify_certificate(system: ConstraintSystem, cert: ConeCertificate) -> bool:
             for i in range(system.n_rows)
         )
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
-
-
-ENUMERATION_GUARD = 10**8
-
-
-def integer_oracle(system: ConstraintSystem, bound: int):
-    """Exhaustive search for a witness with entries in {0, ..., bound}.
-
-    Returns the lexicographically first nonzero solution of A x = 0, or None
-    when no solution exists within the bound. Guarded against blow-up.
-    """
-    n = system.n_cols
-    if (bound + 1) ** n > ENUMERATION_GUARD:
-        raise InstanceTooLarge(f"(bound+1)^cols = {(bound + 1) ** n} exceeds guard")
-    from itertools import product
-
-    for x in product(range(bound + 1), repeat=n):
-        if not any(x):
-            continue
-        if all(
-            sum(system.matrix[i][j] * x[j] for j in range(n)) == 0
-            for i in range(system.n_rows)
-        ):
-            return x
-    return None
 
 
 def certificate_to_jsonable(cert: ConeCertificate) -> dict:

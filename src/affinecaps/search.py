@@ -79,8 +79,11 @@ class RepOutcome:
 @dataclass(frozen=True)
 class PairVerdict:
     pair: DigitSetPair
-    admissible: bool
     outcomes: tuple[RepOutcome, ...]
+
+    @property
+    def admissible(self) -> bool:
+        return all(o.trivial for o in self.outcomes)
 
 
 def check_pair(pair: DigitSetPair) -> PairVerdict:
@@ -107,8 +110,8 @@ def check_pair(pair: DigitSetPair) -> PairVerdict:
                 proof = trace if trace.reduced else proof
         outcomes.append(RepOutcome(b, proof))
         if not outcomes[-1].trivial:
-            return PairVerdict(pair, False, tuple(outcomes))
-    return PairVerdict(pair, True, tuple(outcomes))
+            break
+    return PairVerdict(pair, tuple(outcomes))
 
 
 def _proof_to_jsonable(outcome: RepOutcome) -> dict:
@@ -140,24 +143,28 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """``witness`` is the verdict of the largest admissible digit set found,
+    with its fewest fixed digits; None when none was found."""
+
     p: int
-    max_size: int | None
-    witness_digits: tuple[int, ...] | None
-    witness_fixed: tuple[int, ...] | None
-    witness_bundle: tuple[RepOutcome, ...] | None
+    witness: PairVerdict | None
     candidates_examined: int
     maximality: str  # "proven" | "not-attempted"
     refutations: tuple[Refutation, ...]
     budget_exhausted: bool
 
+    @property
+    def max_size(self) -> int | None:
+        return None if self.witness is None else len(self.witness.pair.digits)
+
 
 def report_to_jsonable(report: SearchReport) -> dict:
     witness = None
-    if report.witness_digits is not None:
+    if report.witness is not None:
         witness = {
-            "digits": list(report.witness_digits),
-            "fixed": list(report.witness_fixed),
-            "bundle": [outcome_to_jsonable(o) for o in report.witness_bundle],
+            "digits": list(report.witness.pair.digits),
+            "fixed": list(report.witness.pair.fixed),
+            "bundle": [outcome_to_jsonable(o) for o in report.witness.outcomes],
         }
     return {
         "p": report.p,
@@ -395,18 +402,13 @@ def max_admissible_size(
 
 def _finalize(p, best, examined, maximality, refutations, budget_exhausted,
               cert_dir) -> SearchReport:
-    if best is None:
-        return SearchReport(int(p), None, None, None, None, examined,
-                            maximality, refutations, budget_exhausted)
-    digits = tuple(best["digits"])
-    minimal = minimize_fixed_digits(digits, p)
-    if cert_dir is not None:
-        for outcome in minimal.outcomes:
-            store_certificate(certificate_payload(minimal.pair, outcome), cert_dir)
-    return SearchReport(
-        int(p), len(digits), digits, minimal.pair.fixed, minimal.outcomes,
-        examined, maximality, refutations, budget_exhausted,
-    )
+    minimal = None
+    if best is not None:
+        minimal = minimize_fixed_digits(tuple(best["digits"]), p)
+        if cert_dir is not None:
+            for outcome in minimal.outcomes:
+                store_certificate(certificate_payload(minimal.pair, outcome), cert_dir)
+    return SearchReport(int(p), minimal, examined, maximality, refutations, budget_exhausted)
 
 
 def minimize_fixed_digits(digits, p: int) -> PairVerdict:

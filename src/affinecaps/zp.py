@@ -7,8 +7,13 @@ from functools import lru_cache
 from itertools import accumulate
 
 
+# Every modulus lies below this bound: trial division then takes at most
+# about 23,000 steps, and a product of two residues fits in int64.
+MODULUS_BOUND = 2 ** 31
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; the moduli used here stay small."""
+    """Deterministic trial division; moduli are checked against MODULUS_BOUND first."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -26,8 +31,8 @@ class Prime(int):
 
     def __new__(cls, p: int) -> "Prime":
         p = int(p)
-        if p < 5 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime >= 5, got {p}")
+        if not 5 <= p < MODULUS_BOUND or not is_prime(p):
+            raise ValueError(f"modulus must be an odd prime in [5, 2**31), got {p}")
         return super().__new__(cls, p)
 
 
@@ -88,16 +93,6 @@ def equation_str(eq: LineEquation) -> str:
     """Render as 'x + cz = (c+1)y', the form used when listing equation classes."""
     zc = "z" if eq.c == 1 else f"{eq.c}z"
     return f"x + {zc} = {eq.c + 1}y"
-
-
-def mirror_partner(eq: LineEquation) -> int:
-    """b-value of the equation whose progressions are this one's, reversed."""
-    return pow(eq.c, -1, eq.p) * eq.b % eq.p
-
-
-def swap_partner(eq: LineEquation) -> int:
-    """b-value of the equation whose progressions have the last two entries swapped."""
-    return eq.c
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,20 @@ order that runs the cone before the matrix rule and records the same proofs.
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
 least image of a digit set, the reference for ``normalize_digit_set``.
 
-``searched_equation_classes`` closes each b under the reverse and swap
-moves by breadth-first search, the reference for the closed-form classes
-of ``equation_classes``.
+``mirror_partner`` and ``swap_partner`` are the two equation-class moves:
+the b of the equation whose progressions are this one's reversed, and with
+their last two entries swapped. ``searched_equation_classes`` closes each b
+under them by breadth-first search, the reference for the closed-form
+classes of ``equation_classes``.
+
+``collinear_triple_naive`` tests every triple of points for linear
+dependence of y - x and z - x, the cubic-time reference for ``verify_cap``.
+It validates its input with the same ``capset._as_point_array``.
+
+``integer_oracle`` searches the box {0, ..., bound}^cols for a nonzero
+solution of A x = 0. It is incomplete (a witness may need a larger entry),
+so it can only refute triviality; tests use it beside ``minimal_witnesses``.
+It raises ``InstanceTooLarge`` past ``ENUMERATION_GUARD`` box points.
 
 ``fraction_rref`` and ``fraction_phase_one`` are the elimination and the
 phase-one simplex carried out over ``Fraction`` entries, one division per
@@ -43,6 +54,7 @@ and columns afterwards.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Sequence
 
@@ -55,9 +67,10 @@ from affinecaps import (
     make_line_equation,
     matrix_reduce,
 )
+from affinecaps.capset import CapCheck, _as_point_array
 from affinecaps.reducibility import MatrixStep, ReductionTrace
 from affinecaps.search import PairVerdict, RepOutcome
-from affinecaps.zp import affine_image, mirror_partner, swap_partner
+from affinecaps.zp import LineEquation, affine_image
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
@@ -146,13 +159,23 @@ def matrix_first_check_pair(pair) -> PairVerdict:
                 proof = cone_trivial(system)
         outcomes.append(RepOutcome(b, proof))
         if not outcomes[-1].trivial:
-            return PairVerdict(pair, False, tuple(outcomes))
-    return PairVerdict(pair, True, tuple(outcomes))
+            break
+    return PairVerdict(pair, tuple(outcomes))
 
 
 def brute_normalize(digits, p: int) -> tuple[int, ...]:
     """Lexicographically least image of the digit set over all affine maps."""
     return min(affine_image(digits, a, b, p) for a in range(1, p) for b in range(p))
+
+
+def mirror_partner(eq: LineEquation) -> int:
+    """b-value of the equation whose progressions are this one's, reversed."""
+    return pow(eq.c, -1, eq.p) * eq.b % eq.p
+
+
+def swap_partner(eq: LineEquation) -> int:
+    """b-value of the equation whose progressions have the last two entries swapped."""
+    return eq.c
 
 
 def searched_equation_classes(p: int) -> tuple[tuple[int, ...], ...]:
@@ -262,3 +285,49 @@ def recomputing_matrix_reduce(system) -> ReductionTrace:
         work = fraction_rref([[r[j] for j in keep] for r in work])
         surviving = [surviving[j] for j in keep]
     return ReductionTrace("matrix", tuple(steps), not surviving)
+
+
+def collinear_triple_naive(points, p: int | None = None) -> CapCheck:
+    """Cubic-time oracle: test linear dependence of y - x and z - x directly."""
+    arr, p = _as_point_array(points, p)
+    pts = [tuple(q) for q in arr.tolist()]
+    n_pts = len(pts)
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            u = tuple((a - b) % p for a, b in zip(pts[j], pts[i]))
+            for k in range(j + 1, n_pts):
+                v = tuple((a - b) % p for a, b in zip(pts[k], pts[i]))
+                dependent = all(
+                    (u[a] * v[b] - u[b] * v[a]) % p == 0
+                    for a in range(len(u)) for b in range(a + 1, len(u))
+                )
+                if dependent:
+                    return CapCheck(False, (pts[i], pts[j], pts[k]))
+    return CapCheck(True)
+
+
+class InstanceTooLarge(ValueError):
+    """Raised when an exhaustive enumeration would exceed the guard bound."""
+
+
+ENUMERATION_GUARD = 10**8
+
+
+def integer_oracle(system, bound: int):
+    """Exhaustive search for a witness with entries in {0, ..., bound}.
+
+    Returns the lexicographically first nonzero solution of A x = 0, or None
+    when no solution exists within the bound. Guarded against blow-up.
+    """
+    n = system.n_cols
+    if (bound + 1) ** n > ENUMERATION_GUARD:
+        raise InstanceTooLarge(f"(bound+1)^cols = {(bound + 1) ** n} exceeds guard")
+    for x in product(range(bound + 1), repeat=n):
+        if not any(x):
+            continue
+        if all(
+            sum(system.matrix[i][j] * x[j] for j in range(n)) == 0
+            for i in range(system.n_rows)
+        ):
+            return x
+    return None

@@ -16,6 +16,7 @@ from oracles import (
     cone_admissible,
     cone_certificates,
     digit_reducible,
+    integer_oracle,
     matrix_reducible,
     minimal_witnesses,
 )
@@ -26,7 +27,6 @@ from affinecaps import (
     digit_reduce,
     enumerate_progressions,
     equation_classes,
-    integer_oracle,
     make_line_equation,
     matrix_reduce,
     rref,

@@ -5,16 +5,14 @@ from itertools import permutations
 import pytest
 
 import golden as G
-from oracles import cone_admissible, cone_certificates
+from oracles import cone_admissible, cone_certificates, collinear_triple_naive
 from affinecaps import digit_pair
 from affinecaps.capset import (
     DEFAULT_ENUMERATION_CAP,
     CapPointSet,
     EnumerationTooLarge,
-    bose_cap,
     bound_table,
     build_cap,
-    collinear_triple_naive,
     eg_constant,
     read_points,
     size_estimate,
@@ -144,7 +142,7 @@ def test_unclosed_cap_point_set_with_collinear_triple_is_rejected():
     # under coordinate permutations: only a full scan finds the triple.
     triple = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
     pts = tuple(sorted(triple + ((0, 1, 2), (0, 1, 4))))
-    fake = CapPointSet(5, 3, digit_pair(5, (0, 1, 2, 3)), pts)
+    fake = CapPointSet(3, digit_pair(5, (0, 1, 2, 3)), pts)
     assert not assert_agrees_with_oracle(fake).ok
 
 
@@ -186,30 +184,24 @@ def test_conflicting_modulus_is_rejected():
 def test_hand_built_cap_point_sets_are_checked_like_raw_points():
     pair = digit_pair(5, (0, 1, 2, 3))
     # a repeated point is one point, not a collinear triple
-    doubled = CapPointSet(5, 2, pair, ((0, 1), (0, 2), (0, 2), (1, 0)))
+    doubled = CapPointSet(2, pair, ((0, 1), (0, 2), (0, 2), (1, 0)))
     assert assert_agrees_with_oracle(doubled).ok
     for points in (((0, 1), (0, 7)), ((0, 1), (0, 2, 3))):
         with pytest.raises(ValueError):
-            verify_cap(CapPointSet(5, 2, pair, points))
+            verify_cap(CapPointSet(2, pair, points))
 
 
 def test_bose_cap_small_primes():
-    cap5 = bose_cap(5)
-    assert len(cap5) == 25
-    assert verify_cap(cap5, 5).ok
-    cap7 = bose_cap(7)
-    assert len(cap7) == 49
-    assert verify_cap(cap7, 7).ok
-    assert len(bose_cap(5, projective=True)) == 26
-    with pytest.raises(ValueError):
-        bose_cap(8)
-
-
-def test_bose_irreducibility_choice():
-    # x^2 + x + a irreducible needs 1 - 4a to be a non-square
-    squares5 = {x * x % 5 for x in range(5)}
-    assert (1 - 4 * 1) % 5 not in squares5  # a = 1 is picked for q = 5
-    assert bose_cap(5)[0] is not None
+    # The quadric cap {(t^2 + st + as^2, s, t)} of q^2 points in AG(3, q),
+    # with x^2 + x + a irreducible, that is 1 - 4a a non-square. It is not
+    # closed under coordinate permutations, so every point is a scan base.
+    for q in (5, 7):
+        squares = {x * x % q for x in range(q)}
+        a = next(a for a in range(q) if (1 - 4 * a) % q not in squares)
+        cap = {((t * t + s * t + a * s * s) % q, s, t) for s in range(q) for t in range(q)}
+        assert len(cap) == q * q
+        assert any(pt[::-1] not in cap for pt in cap)
+        assert verify_cap(cap, q).ok
 
 
 def test_eg_constant_values():

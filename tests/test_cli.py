@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -188,6 +189,23 @@ def test_verify_points_file_rejects_malformed_points(tmp_path, capsys, rows, mes
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["cert-verify", "verify"])
+def test_a_modulus_from_2_31_up_is_an_input_error_at_once(tmp_path, capsys, command):
+    # 2**61 - 1 is prime: trial division up to its square root takes minutes
+    huge = 2 ** 61 - 1
+    path = tmp_path / "input"
+    if command == "cert-verify":
+        path.write_text(json.dumps({**P11_B1_CERT, "p": huge}))
+        argv = ("cert-verify", str(path))
+    else:
+        path.write_text("0 1\n1 0\n")
+        argv = ("verify", "-p", str(huge), "--points-file", str(path))
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and not out and "2**31" in err
+
+
 def test_verify_missing_arguments(capsys):
     code, _, err = run(capsys, "verify", "-p", "11")
     assert code == 2
@@ -206,6 +224,22 @@ def test_table_five_decimal_columns(capsys):
         assert fields[3] == str(new_bound)
     row11 = next(ln for ln in lines if ln.split()[0] == "11").split()
     assert row11[4] == "0.67118"
+
+
+def test_table_ends_with_the_upper_bound_base(capsys):
+    # p * J(p) is the minimum of (1 - t^p) / ((1 - t) t^((p-1)/3)) over 0 < t < 1,
+    # here on a grid, independent of the golden-section search
+    p, grid = 23, 40009
+    on_grid = min((1 - t ** p) / ((1 - t) * t ** ((p - 1) / 3))
+                  for t in (i / grid for i in range(1, grid)))
+    code, out, _ = run(capsys, "table", "-p", str(p))
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.split()[-1] == "p*J(p)"
+    assert row.split()[-1] == "19.64263"
+    assert float(row.split()[-1]) == pytest.approx(on_grid, abs=1e-5)  # truncated to 5 places
+    code, out, _ = run(capsys, "--format", "json", "table", "-p", str(p))
+    assert json.loads(out)["rows"][0]["upper_bound"] == pytest.approx(on_grid, rel=1e-6)
 
 
 def test_table_rejects_a_prime_without_a_known_best_size(capsys):

@@ -5,8 +5,10 @@ import pytest
 
 import golden as G
 from oracles import (
+    InstanceTooLarge,
     cone_admissible,
     cone_certificates,
+    integer_oracle,
     minimal_witnesses,
 )
 from traffic import pipeline_pairs
@@ -17,12 +19,11 @@ from affinecaps import (
     digit_reduce,
     enumerate_progressions,
     equation_classes,
-    integer_oracle,
     make_line_equation,
     matrix_reduce,
     verify_certificate,
 )
-from affinecaps.cone import ConeCertificate, InstanceTooLarge
+from affinecaps.cone import ConeCertificate
 from affinecaps.progressions import ConstraintSystem
 
 

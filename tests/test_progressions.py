@@ -2,6 +2,7 @@ import json
 import random
 
 import golden as G
+from oracles import mirror_partner, swap_partner
 from affinecaps import (
     build_constraint_system,
     digit_pair,
@@ -9,7 +10,6 @@ from affinecaps import (
     make_line_equation,
 )
 from affinecaps.progressions import table_to_jsonable
-from affinecaps.zp import mirror_partner, swap_partner
 
 SMALL_PRIMES = [5, 7, 11, 13, 17]
 

@@ -103,8 +103,8 @@ def test_sweep_p7():
     report = max_admissible_size(7)
     assert report.max_size == 3
     assert report.maximality == "proven"
-    assert report.witness_digits == (0, 1, 2)
-    assert report.witness_fixed == (0,)
+    assert report.witness.pair.digits == (0, 1, 2)
+    assert report.witness.pair.fixed == (0,)
     assert len(report.refutations) == 10  # every 4-digit candidate refuted
     for ref in report.refutations:
         assert any(v > 0 for v in ref.witness)
@@ -120,7 +120,7 @@ def test_sweep_size_range_caps_the_claim():
     assert low.max_size == 3 and low.maximality == "proven"
     for min_size in (4, 6):  # every candidate of the first level is refuted
         none = max_admissible_size(7, min_size=min_size)
-        assert none.max_size is None and none.witness_digits is None
+        assert none.max_size is None and none.witness is None
         assert none.maximality == "not-attempted" and none.refutations == ()
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import golden as G
-from oracles import searched_equation_classes
+from oracles import mirror_partner, searched_equation_classes, swap_partner
 from affinecaps import (
     Prime,
     digit_pair,
@@ -12,7 +12,7 @@ from affinecaps import (
     make_line_equation,
     normalize_digit_set,
 )
-from affinecaps.zp import affine_image, is_prime, mirror_partner, swap_partner
+from affinecaps.zp import affine_image, is_prime
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
