@@ -1,7 +1,7 @@
 """Command-line interface with persistent, independently verifiable outputs.
 
 Exit codes: 0 success / admissible / verified, 1 inadmissible / violation /
-failed certificate, 2 usage or input error, 3 search budget exhausted.
+failed certificate or report, 2 usage or input error, 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .search import (
     render_report,
     store_certificate,
     verify_certificate_payload,
+    verify_report_payload,
 )
 from .zp import digit_pair, equation_str, make_line_equation
 
@@ -214,8 +215,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cert_verify(args) -> int:
-    ok = verify_certificate_payload(json.loads(Path(args.certificate).read_text()))
-    print("certificate ok" if ok else "certificate FAILED")
+    data = json.loads(Path(args.certificate).read_text())
+    if isinstance(data, dict) and "maximality" in data:
+        kind, ok = "report", verify_report_payload(data)
+    else:
+        kind, ok = "certificate", verify_certificate_payload(data)
+    print(f"{kind} ok" if ok else f"{kind} FAILED")
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -267,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sets-file", required=True)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("cert-verify", help="re-check a stored certificate file")
+    sp = sub.add_parser("cert-verify",
+                        help="re-check a stored certificate file or a search report")
     sp.add_argument("certificate")
     sp.set_defaults(func=cmd_cert_verify)
 

@@ -15,9 +15,10 @@ import json
 import os
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 from .cone import (
@@ -249,8 +250,47 @@ def verify_certificate_payload(data) -> bool:
         return False
 
 
-def _candidate_record(p: int, digits: tuple[int, ...]) -> tuple[dict, RepOutcome | None]:
-    """The checkpoint record of one candidate and its refuting outcome, if any."""
+def verify_report_payload(data) -> bool:
+    """Re-check a document written by ``render_report``, trusting nothing in it.
+
+    A loop over ``verify_certificate_payload``: the bundle must close each
+    equation-class representative of the witness pair in turn, ``max_size``
+    must be the witness's size, and a ``proven`` report must refute, in
+    order, every candidate one digit larger with all digits pinned. A
+    ``not-attempted`` report lists no refutations, and a report without a
+    witness claims nothing. Raises ValueError (or KeyError for a missing
+    field) when the document is malformed.
+    """
+    try:
+        maximality, refutations, witness = data["maximality"], data["refutations"], data["witness"]
+        if maximality not in ("proven", "not-attempted") or not isinstance(refutations, list):
+            raise ValueError("a report needs maximality proven or not-attempted "
+                             "and a list of refutations")
+        if witness is None:
+            return maximality == "not-attempted" and not refutations and data["max_size"] is None
+        p, bundle, size = data["p"], witness["bundle"], len(set(witness["digits"]))
+        if [entry["b"] for entry in bundle] != list(equation_classes(p).representatives) \
+                or data["max_size"] != size:
+            return False
+        context = {"p": p, "digits": witness["digits"], "fixed": witness["fixed"]}
+        for entry in bundle:
+            if not verify_certificate_payload({**entry, **context}) or (
+                    entry["method"] == "cone" and entry["certificate"]["kind"] == "nontrivial"):
+                return False
+        if maximality == "not-attempted":
+            return not refutations
+        if [r["digits"] for r in refutations] != [list(d) for d in candidates(p, size + 1)]:
+            return False
+        return all(verify_certificate_payload(
+            {"p": p, "digits": r["digits"], "fixed": r["digits"], "b": r["b"], "method": "cone",
+             "certificate": {"kind": "nontrivial", "witness": r["witness"]}})
+            for r in refutations)
+    except TypeError as exc:
+        raise ValueError(f"malformed search report: {exc}") from exc
+
+
+def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
+    """The checkpoint record of one candidate: its verdict and, if refuted, the witness."""
     verdict = check_pair(digit_pair(p, digits))
     record: dict = {
         "size": len(digits),
@@ -258,12 +298,11 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> tuple[dict, RepOutcome
         "admissible": verdict.admissible,
         "methods": [[o.b, o.method] for o in verdict.outcomes],
     }
-    if verdict.admissible:
-        return record, None
-    refuting = verdict.outcomes[-1]
-    record["refuted_b"] = refuting.b
-    record["witness"] = [str(v) for v in refuting.proof.witness]
-    return record, refuting
+    if not verdict.admissible:
+        refuting = verdict.outcomes[-1]
+        record["refuted_b"] = refuting.b
+        record["witness"] = [str(v) for v in refuting.proof.witness]
+    return record
 
 
 class _Checkpoint:
@@ -320,9 +359,12 @@ def max_admissible_size(
     never an unproven claim; the same holds when the sweep is capped by
     ``max_size`` before reaching a fully refuted level, and when the
     first level it sweeps is already fully refuted. A ``max_size``
-    above p - 1 is lowered to p - 1; ``min_size`` outside 2..p-1, a
-    ``max_size`` below ``min_size``, fewer than one worker and a negative
-    budget raise ValueError before any work starts.
+    above p - 1 is lowered to p - 1, and ``workers`` above the CPU count
+    to that count; ``min_size`` outside 2..p-1, a ``max_size`` below
+    ``min_size``, fewer than one worker and a negative budget raise
+    ValueError before any work starts. ``cert_dir`` receives the
+    certificates of the witness bundle; the refutations live in the
+    report, which ``verify_report_payload`` checks.
     """
     p = Prime(p)
     if not 2 <= min_size <= p - 1:
@@ -331,6 +373,7 @@ def max_admissible_size(
         raise ValueError(f"max_size {max_size} is below min_size {min_size}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     budget = budget or SearchBudget()
     for name, limit in (("seconds", budget.max_seconds), ("candidates", budget.max_candidates)):
         if limit is not None and not limit >= 0:  # NaN fails too
@@ -361,7 +404,7 @@ def max_admissible_size(
         for size in range(min_size, top + 1):
             level = list(candidates(p, size))
             pending = [d for d in level if ckpt.get(size, d) is None]
-            results = pool.imap(work, pending, chunksize=8) if pool else map(work, pending)
+            results = _in_batches(pool, work, pending, 2 * workers) if pool else map(work, pending)
             found = None
             level_records = []
             for digits in level:
@@ -369,10 +412,7 @@ def max_admissible_size(
                     return partial_report()
                 rec = ckpt.get(size, digits)
                 if rec is None:
-                    rec, refuting = next(results)
-                    if cert_dir is not None and refuting is not None:
-                        rec["cert"] = store_certificate(
-                            certificate_payload(digit_pair(p, digits), refuting), cert_dir)
+                    rec = next(results)
                     ckpt.add(rec)
                 examined += 1
                 level_records.append(rec)
@@ -398,6 +438,21 @@ def max_admissible_size(
         if pool is not None:
             pool.terminate()
             pool.join()
+
+
+def _in_batches(pool, work, pending: list, window: int):
+    """``work`` over ``pending`` in order, with at most ``window`` batches of 8 in the pool.
+
+    A level ends at its first admissible candidate, so only the batches
+    already queued run past it, not the rest of the level.
+    """
+    batch = 8
+    batches = (pending[i:i + batch] for i in range(0, len(pending), batch))
+    queue = deque(pool.map_async(work, b, batch) for b in islice(batches, window))
+    while queue:
+        done = queue.popleft().get()
+        queue.extend(pool.map_async(work, b, batch) for b in islice(batches, 1))
+        yield from done
 
 
 def _finalize(p, best, examined, maximality, refutations, budget_exhausted,

@@ -6,6 +6,7 @@ import pytest
 import golden as G
 from affinecaps.capset import build_cap, write_points
 from affinecaps.cli import main
+from affinecaps.search import max_admissible_size, render_report
 from affinecaps.zp import digit_pair
 
 
@@ -135,6 +136,80 @@ def test_cert_verify_malformed_document_is_an_input_error(tmp_path, capsys, docu
     path.write_text(json.dumps(document))
     code, _, err = run(capsys, "cert-verify", str(path))
     assert code == 2 and err.startswith("error: ")
+
+
+def test_cert_verify_checks_a_whole_maximality_proof(tmp_path, capsys):
+    code, _, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "11")
+    assert code == 0
+    code, out, err = run(capsys, "cert-verify", str(tmp_path / "search_p11.json"))
+    assert (code, out, err) == (0, "report ok\n", "")
+
+
+@pytest.fixture(scope="module")
+def report_p11():
+    return render_report(max_admissible_size(11))
+
+
+def swap_refutations(report):
+    refutations = report["refutations"]
+    refutations[5], refutations[6] = refutations[6], refutations[5]
+
+
+def bump_witness_entry(report):
+    witness = report["refutations"][0]["witness"]
+    witness[witness.index("1")] = "2"
+
+
+def replace_bundle_entry_by_a_refutation(report):
+    refutation = report["refutations"][0]
+    report["witness"]["bundle"][-1] = {
+        "b": report["witness"]["bundle"][-1]["b"], "method": "cone", "trivial": False,
+        "certificate": {"kind": "nontrivial", "witness": refutation["witness"]}}
+
+
+def change_bundle_trace(report):
+    report["witness"]["bundle"][0]["trace"]["steps"][0]["digit"] = 4
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda r: r["refutations"].pop(5),
+    lambda r: r["refutations"].insert(5, r["refutations"][5]),
+    swap_refutations,
+    bump_witness_entry,
+    change_bundle_trace,
+    lambda r: r.update(max_size=r["max_size"] + 1),
+    lambda r: r["witness"]["bundle"].pop(),
+    replace_bundle_entry_by_a_refutation,
+    lambda r: r.update(witness=None, max_size=None),
+    lambda r: r.update(witness=None, max_size=None, refutations=[]),
+    lambda r: r.update(maximality="not-attempted"),
+], ids=["refutation-dropped", "refutation-duplicated", "refutations-swapped",
+        "witness-entry-changed", "bundle-trace-changed", "max-size-raised",
+        "bundle-entry-dropped", "bundle-entry-replaced-by-a-refutation",
+        "proven-without-witness", "proven-without-witness-or-refutations",
+        "not-attempted-with-refutations"])
+def test_cert_verify_rejects_a_tampered_report(tmp_path, capsys, report_p11, tamper):
+    report = json.loads(report_p11)
+    tamper(report)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert (code, out, err) == (1, "report FAILED\n", "")
+
+
+@pytest.mark.parametrize("change", [
+    {"witness": 5}, {"refutations": {}}, {"maximality": "maybe"}, {"bundle": [1]},
+], ids=["witness-number", "refutations-object", "unknown-maximality", "bundle-of-numbers"])
+def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report_p11, change):
+    report = json.loads(report_p11)
+    if "bundle" in change:
+        report["witness"].update(change)
+    else:
+        report.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert code == 2 and not out and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_with_an_empty_fixed_set_pins_nothing(tmp_path, capsys):

@@ -8,12 +8,15 @@ the fraction-free one.
 """
 
 import hashlib
+import json
 
 import pytest
 
 import golden as G
 from affinecaps import digit_pair
+from affinecaps.cone import ConeCertificate
 from affinecaps.search import (
+    RepOutcome,
     certificate_payload,
     check_pair,
     max_admissible_size,
@@ -65,157 +68,29 @@ PUBLISHED_CERTIFICATES = {
 }
 
 # sorted names of the certificate files that max_admissible_size(p, cert_dir=...)
-# writes, recorded while the sweep built its refutation documents by hand, before
-# they went through certificate_payload
+# writes: the certificates of the witness bundle, the documents that ``check``
+# writes for the witness pair
 SWEEP_CERTIFICATES = {
-    7: """
-        0c45ba1ba5d6169f80bbde209b1bc4f04a5459d6ae7fb79835063b9ecb4a32dc
-        4c779b134853d52096d8873f67e4487036c7042756f72d7994a7ee941614e68a
-        59dc6a79101133885445bbf3f12461df99bdb5d68515923f813d368c544360f0
-        66f1822f988c5b899ea09c22f634d6309c8096c7f4891559310814bfeb732c2e
-        74502301ca926ff28bf7bf18f4e51413d9faf70d43ee00f2fafff3b8a3dd19f6
-        8080fab0e496bd5f93d834551700d8316cfeb555715da4c5d82a9c8651dd02a9
-        86915a26a437d0a2339c7acd3f444f8853a584a1a96f110b888ca492c5ca5506
-        9230670d19e0deea98e88eb692ca384fd24d6f249adbf3bbce742af58d2044af
-        b4633be40b661d88c29d1e7809ee5948cfe87accc18811e884e2c89608735315
-        c3b8a85ff46e8808372d47d49a8a58554c605e2aa058047c45afba746d2a5408
-        d2e43de15055a492d8a8dd0879ee54e99c855b05db3a6ac125bf9be47550fd2a
-        e97f4932fb6e4962f35bb2d7799646d29f5128514efba682cd42bd1a33b3f260
-    """.split(),
-    11: """
-        018855f88913b41fc5a290444eb90c39b185c573d94cd2440b388b695acf5e84
-        02e24368ca097d338d29d32dcbe162823f69f3d819569a472412492e077c750c
-        03b012b342097b63ee1f96d0a49e33169cb6433cdf1c266685a77e214311b9dc
-        0470b1d6dae1b0023ce1d824badf94a2205653b77738a44a2a87105849261f8f
-        0839bbd01fadc776f17e35f94ee8e94ece2290d2fcd3976c0b2399322df0a417
-        099c7f2c9405a8db291911390f01be4d54b794e4c0960b22fc403211433e2c47
-        0b368dac067826177c776fd313750f30e96d90dea16876bb3424935135256c15
-        0b53065308148f3cbcbf942d60177bc17b941608c203a20fa521892b664044b9
-        0c92d1dbcbd5d7f4cbafd19450770970d8f3b77d41fa6cab94034c944dfcee03
-        0d467de5e476fd5e414316c8adf00ffbf2500e76fa1d9f6cfc2f44ac69f48aa3
-        0eb775c398107ea8600bca33cb94d1a2d1a08cc657149d590691a8617a2bb9f2
-        11f09dccff9696bff8f5eefad7e91e028a949d30157687d2c8f24f8e7eac03e8
-        13265f1c51c84a1d3424fc2cc36bb3878d00b60ab6929f066b7dff16eb1bb9c2
-        13e5debb98a957e9d8416e60568721c8c0ad819bf578e11545cca85d2f89b90f
-        1521dc7ab8f2e0b0417c8446175ee16a18f1d7067be7693260f21a62978c9c15
-        178bfb3e863fbda5f88c63cf0461bb797f923781b41dd779241e2260849a8960
-        189445bd824f50ea35a0873fae558c5b98067de3f68ec2a107b1c4e3d82a2c29
-        19f7ca9aeb4e804f2e3f487e67c70ade004e50de569e34c506d588c61c88549a
-        1b3c439bfaf723497f5e73f0999837ed98e47d431474c2d7e7464ab48cee25e3
-        1d7d790cfd9a154f4ce7d9393346e7817fc88957d6aed3c1c018f1d187add66a
-        1eb9da621fae15f2c29fc0bc494190ee99087febf25236392315e5986d22d708
-        1fc7a777b9b7a8e290983990c72d5f37c9ac3534570001e2e74a5000b31e7b5b
-        200148cdf4d04e78277cbf53604728aa855d2035eae46f2947ed19796940b9c8
-        22bbbb759eb00927a7ec91226b1b9c0ef20be56713c8674f02a3292d034aae1c
-        23595764eb9c15f2023fef38b1e965716002f920bdd3aae2a4ec3a9d9ecb2ea1
-        2373c823b6c934285907ae7691210460ee8e04f2135378874100701a0d225092
-        272d48388c818eb6f42ee98892b76cbdcf8a5f65ecff56a83e9ce2aa5ae8ae53
-        282552e1cb16220cb68610995a358da61537cde4e7b57d2b3486d87be5b32f31
-        28b089f8e25cb18cfe305866c548a3613fcea52d5cb1fa93087dfa759cfee35e
-        29b8de17f8557f2dee96d38ce66d2a621d84cd42e9c3b2d8d3001085ba1af716
-        2bc6deceba5fcfa02f1adc55f2dfb0f7002234db99e6c1051d829d1458069539
-        2c02bb5a785295469a384f39fa0d3d6f5db15646d842205c82aa4100568515b4
-        2cdf4f02ad0bfe2e1fccd5343996f14e6542d7a73bc8f636c21d522d25b605cc
-        2f70812798adbdd5b1bcc4414ac3d5a3aae7d539ae74e635a703e560ff5b4fcf
-        32688816b34f85aa5b2bd593e2f7e9fdb846de80110559b40a9d57b39afde0b3
-        3393b9990b21d11229b93fe168810583bedbe49a7d64ab4d41c710f84cf77063
-        34cbbea5cf04fab2b33bcea4cc923a5d38fa6c891d8024de36a18d08c8ca46b9
-        352bc8fe65da9ec07059dc172dd731cd0b947430981bda8e8943dc8b123b0310
-        36c2f5fc55d0739d39486224000153f339e0bbf752216fb76c11fb164f755ca5
-        36ee02c7756bbac67faeab95783de7dc959fa86e4a777d1ff4129c3267d0ec10
-        392cfbe6f740129101609b00c910bc6d82b77617e9b464315ce94efa9f363950
-        41fb64224c671b60548aa527c10ede73bef59c562a911d2a5d8a45a21b2b8ed2
-        4334a445bcdb4106bc2bb5ee5a0b6c6d1e8d71a64b586a01b96021773ccedaa5
-        452cd19f61f93d7deccbd3d24e9adaa5d62f562e3e2d307cc1a738b06fcdb2cd
-        493695922aba83084f13da70b5637fd155376977267aaa0f97cfc0fe1b34d4f5
-        4c814085d11d328b1ab2bbdf3786331d254b8649165eb58a47462da73fb79681
-        50ccfc0a165919a060a732dcf781e350a9111597abdd94521997deeec4768b3b
-        528eda6e10e705090ccb9dff12efd45de99e1b7c16c6e68558bb71b0ce935fe0
-        5bb674d6db661a052a00674b4d0a721947f084d2829f45ed17807714d769cb06
-        5bfe139b0589b09c9f8447ea2b35f14e0b575591f324037e42580622b19df23d
-        5f973d005cb36321657ae9ee4e341511e2bd7c11ab66e15d42da0524a715c8be
-        63bb0b570e5450db617143c5bbf439fcad3f75b154b68070c6a2ee0b77befb3c
-        6429d292fb0dbefc0b28a46db6e753562de123c2bdc75ff970732b5d7b07dc37
-        674fd7def7c786698e483c6dc6134c9d7b9394e1e76613d8f98f982ab3a08308
-        676c3939359146198d0a964c3110f5238b475fc2f1604bcef8d426a4979fe75b
-        6953969ed6704e35056b36b937638e48f687f47dd711de1c9de64a105f6a8e28
-        6a7b8c8c039f4350018425708ea1c5c05fe4747355c0a6c6484430fd7fa34155
-        6e5c4a18b8239105e913f4818df9ce5f71b1c8e469306aa55c78d43f363ae847
-        73268263af2490d992abaf2a43720fdf5e80b55866e9a8e0411484baf1b1db5f
-        7368e31674cd9bb241820472590c5623c4eeebbd93f82b07efbf03a4276c4845
-        76f4bf0b655b8c55c004c43df1c9b6fa66801a0dfabe8143d04c873109762104
-        7a1fd1c88616a5ee4abe47e2ceb55bfa141670b42a4777294abe67f685446651
-        7e940e5d01fc795f6e47503bfb4f8f6a92bc31816da256ec163326539ad6cd17
-        7ebb4012e3b765dcc2d6674b67d4ae53d340e1f6e80dd2edc4128403e5c9f53f
-        803ddaf7990dc66fbaf56c61ea0c166756507a8384af440ee53cf2af8bf1a85b
-        8041f98af86d814bc90715b0c8e79df51e7e32e5b6d598f0485cb76628ffae68
-        830fc2f128b429b186b666cb50f5eb81c18a7028c8772c0774e8dfbe3605448e
-        84bd7912eade6b9ac73f97ded5125f4a988a34fa83e59c3b75c89d370ce9f446
-        860e25dd099acfb95bd8846e89f9aac7f57008a953bb37d674d22509caeade30
-        880f7769532d49aa0ec2ad835b4685fc0e549b0841bb6261235ca9d2cd7ea8d5
-        882fd5bc2b9503aad0a7014fba6abf7d1bad4c0ec9388d34d61d9c6d48bc74ad
-        8e3c4752ea5e3cc8105bc87c124cffcfd82513b44dba6d4bf104d0bd19cf0cb6
-        90eb20d0618f707c3fe63fa9f5156ab46ba104ca3c2eff6a3a90bacb883dc43b
-        945252a27947e926243d9f35f0634501a1cfd7d4a5f3f6ecc63f35342f3a7fa0
-        970d7a71b2d861113a355bb3ea24158a8d3c09a9dd79f11f70f08e9f9c8f97f2
-        9a4b05bd36d6c4ef83fabbfe28675b2a30c56b7f512b2fea836536df9a582978
-        9d1e9ec77c354305662591d72ad8c9d6a2217fd04246fe84cb0d669b186862be
-        9e55cff1bd233e463cd51ab9ac87325bf770ab7d9b6b8400f18e9925d4eaeecb
-        9e98fc45c51fa9c6a6cdb1adbf8ae3d0b170718941eb19360abbd9f1cee8d030
-        9f4d42051ed3d503c3fa033d81dbecf51514958feb3300b330006ba77a51961a
-        a0b868e0cf5876295efe4f93e75b43ec9769715b9a20b889f4a5ab3ba026260a
-        a36d6a63d2f0a62ef990034b84c2a6d2751a2fb278f16cc5397bd61fd129be4e
-        a3f9461a66e986c8ef1075695e5848775843b0ad923eb3686d917e515a9b7d19
-        a6d737e5b388b50c50f712a173c5f2b10b40b6aa7bb9642efd050ac87fcc1e27
-        a917c7b644451169af452e7d6e6915c50b234a5bfc8703a1b52ff4032ceb430e
-        ad919d922100fea0482309c90d7ed57b0b4c4d6189d7b0e03e38b2c4424d1036
-        af778bd0eaf33998e85babcf79ab1b9b6d53f7c6e8f3c5e26649a5d8a73ac5c6
-        b6dec5b63ca79a6cee303a5782d89a25a6172b3df9ecba903bb3654a706b2fd1
-        b7d2342ec67baabd4a93aff56245283e0f128c0baa9fdb3f25ac410495534e86
-        ba901bc3818661ebc8240471fc3681202f692bf1c3071623a8b9e412c27e432e
-        bb33a0dae73d54ea2b28be454f09d6e27315e003996b8b1d08f5f80395f7c0f1
-        c1d2298d47ccd32fd3395aadefe86d186b3c0801a208e4e5678bcda21dd8da2d
-        c1e0c5bed37471a4d77723423efe88087b2700346537f0fa8ef97dbe06e9ed74
-        c3032a709e96c1273144b7c554b13f56fed9dd2dd5e6c537a06402669755e6a8
-        c53d7993c526400e70e07d51a2c19ce748e0b8fb8b828ea51de15c63f40897d0
-        c6040498c6d17a53e60a86e4132ca481adf75f037d9d6183c89580a724ce26bb
-        c7e324bcd739bc84032050a5464227bff0e76f023b5e316b49374f5c30723894
-        c8d70412b9639c1754a10d5f471bb5cb1106ef6ab7ef2da4813e67e5ccb865a5
-        c96d97930efd9d231945cd5adb7f8dc9a798a13f5a2ce54a16ddd89b1343678d
-        cb8cc2c855bd8c0bf4a1e44ba00da96de62e4afad2a2d02823c927195bd99542
-        cd06ed908bc530eb1a3f4c76041a9b92eb27fe927f6a13e5d808981c40116134
-        cd99e4534c53c7109d7a2b4dde3577ccb784e131a3340f20bf802662ba18ddd1
-        cf487405108e598a1624e36c3054c485c2a4d301600e99a3d12aa1d5cd8139b8
-        d048516757959ff8fd8f2dfb120860fa469dfc8600a2b6d5e053f8d93f49632f
-        d5c1ba30b110d6f81c55bd6f87dc35c65cdb6f37dcb24a51d762d23a9d0e2a8f
-        d6a1ce779f11dc97d49d59c9836e7ee0ad915e6b9bfa29e069200d5aea19592e
-        d851540732295634b4669ed5035b280b35c5575e0d3c732454d8eb8dac6037cf
-        d967145cdeef21790eda234c5ff63f026a0270a37e9614371bc562972f8ea5e3
-        da5ca730404da130e305fc4edfc81f8125f5908a5f2ece8be252a8bb8fa27b9a
-        db1ca6cfd3b5ba91c788a44c7c57323e9265f60d4374787b46a206ff7b8b3069
-        dc670746b59ed11240b779a795b5938b0cd107e2d18d11135da52b9907eee26b
-        df4c39139291deba9ee6e375236b12999bf6e1b384a7ce35e4bedd548796b469
-        dfd0e17deef7e9fb5554a8f5a93f2e6df28b0f5d6a880a478cbe4bc526905a7f
-        e46ee27962b546a637d465129a1fb82c5485a76ebafca4f995661a8b301b524b
-        e6df0d3911d140693fcb6418480cf3fa9477c7913cf3fe6aa6b2381514d8fea3
-        e9c9e5bb1db83989138797449553144baf7f1c39c63c89733553970d5f82f612
-        ecdc8dfabec20365db6ee4fd0c0c6900a452f96beccd02397cb22d95ecfb5ace
-        edbfcb43fa8dcb63024508f0d844a69472cc672de19f496961f0a27583ce8358
-        edc6b281e91be73536eaef531d88ce96efb0efec3176921faddfc9b2efcdf13e
-        eeceec24b1aaf89600cb1b2b97fa71ae0d5e9e138726fef913e5913f38e204de
-        f007be629c819237b90e71740f55b5322a6d7bc58556a96d09ed3e2e2adee18f
-        f0816914db169e2d1ca4fb5313eaf6c2b98f941710fd2a5a5f8cb9798fdf6523
-        f13f4a1c58d2a4011eb748fcef788235039a3cac686b4b04428565a05620738b
-        f2e536f8ba75d50f961c96ae12aff569a6e77ce58c336f6f033cc2f55884e5f5
-        f40d47284dff968d58b3dfa256d165310f2e38e70d4649c4a15a73691a6a18e6
-        f69a44f510c0ceddbdb966dbca7c2703f732788a0dfd0df63ebc7b3fbdc2eda9
-        f73cfba383d17dfaa765b5fbd19c6edcd074537619c6a4dfb6bc741febcdd1f0
-        fd9d731d2e3faa4f9921c1a35b6d80e94b1055df4e7f38b2d1d7f8a8af811470
-    """.split(),
+    7: (
+        "4c779b134853d52096d8873f67e4487036c7042756f72d7994a7ee941614e68a",
+        "b4633be40b661d88c29d1e7809ee5948cfe87accc18811e884e2c89608735315",
+    ),
+    11: (
+        "23595764eb9c15f2023fef38b1e965716002f920bdd3aae2a4ec3a9d9ecb2ea1",
+        "c6040498c6d17a53e60a86e4132ca481adf75f037d9d6183c89580a724ce26bb",
+    ),
 }
 
-# SHA-256 of the checkpoint file written by the same sweep
+# SHA-256 of the checkpoint file written by the same sweep, with or without cert_dir
 SWEEP_CHECKPOINT_SHA256 = {
+    7: "66d010bc93424fa822b1f80d366d3e3381b90f35b0b93ea404d37a4444adf21c",
+    11: "1d3ef0d4ceab4457eaa7a9f3f9fdb58f5fb38398e0124a560a33004733d14436",
+}
+
+# SHA-256 of the checkpoint that the sweep wrote while it also stored one
+# certificate file per refuted candidate: each refuted record then carried the
+# file's name under "cert"
+CERT_NAMED_CHECKPOINT_SHA256 = {
     7: "8bdf504289bf9a8168fc71a22bb041eb2fcf45b9574231131b0ffd5ebb29dca2",
     11: "c8d33866bead53bf264fc533afe05db8331e6004da909f65da11a90e8a61f8b4",
 }
@@ -242,9 +117,44 @@ def test_published_pair_certificate_names_are_pinned(tmp_path):
 def test_sweep_certificate_names_and_checkpoint_are_pinned(tmp_path, p):
     for workers in (1, 2):
         checkpoint_path, cert_dir = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}"
-        max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers,
-                            cert_dir=cert_dir)
+        report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers,
+                                     cert_dir=cert_dir)
         names = sorted(f.name for f in cert_dir.iterdir())
         assert names == [f"{name}.json" for name in SWEEP_CERTIFICATES[p]], workers
+        bundle = {store_certificate(certificate_payload(report.witness.pair, outcome),
+                                    tmp_path / "bundle")
+                  for outcome in report.witness.outcomes}
+        assert bundle == set(SWEEP_CERTIFICATES[p]), workers
         checkpoint = checkpoint_path.read_bytes()
         assert hashlib.sha256(checkpoint).hexdigest() == SWEEP_CHECKPOINT_SHA256[p], workers
+
+
+def with_certificate_names(checkpoint: bytes, p: int, cert_dir) -> bytes:
+    """The checkpoint with the certificate name of each refutation added under "cert"."""
+    lines = []
+    for line in checkpoint.decode().splitlines():
+        rec = json.loads(line)
+        if not rec["admissible"]:
+            refuting = RepOutcome(rec["refuted_b"], ConeCertificate(
+                "nontrivial", witness=tuple(int(v) for v in rec["witness"])))
+            rec["cert"] = store_certificate(
+                certificate_payload(digit_pair(p, rec["digits"]), refuting), cert_dir)
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("p", sorted(SWEEP_CERTIFICATES))
+def test_the_checkpoint_is_the_cert_named_one_without_its_names(tmp_path, p):
+    fresh = tmp_path / "fresh.jsonl"
+    max_admissible_size(p, checkpoint_path=fresh)
+    assert hashlib.sha256(fresh.read_bytes()).hexdigest() == SWEEP_CHECKPOINT_SHA256[p]
+    named = with_certificate_names(fresh.read_bytes(), p, tmp_path / "refutations")
+    assert hashlib.sha256(named).hexdigest() == CERT_NAMED_CHECKPOINT_SHA256[p]
+    # a checkpoint whose records carry "cert" resumes to the same report bytes
+    resumed = tmp_path / "named.jsonl"
+    resumed.write_bytes(named)
+    report = max_admissible_size(p, checkpoint_path=resumed, cert_dir=tmp_path / "certs")
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == REPORT_SHA256[p]
+    assert resumed.read_bytes() == named
+    assert sorted(f.stem for f in (tmp_path / "certs").iterdir()) == \
+        list(SWEEP_CERTIFICATES[p])

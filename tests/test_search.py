@@ -1,7 +1,10 @@
 import json
 import math
+import multiprocessing
+import os
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,8 +18,10 @@ from affinecaps.search import (
     check_pair,
     max_admissible_size,
     minimize_fixed_digits,
+    outcome_to_jsonable,
     render_report,
     store_certificate,
+    verify_report_payload,
 )
 
 
@@ -166,6 +171,97 @@ def test_sweep_worker_pool_matches_sequential():
     seq = render_report(max_admissible_size(7))
     par = render_report(max_admissible_size(7, workers=2))
     assert seq == par
+
+
+def in_process_pool(monkeypatch, cpus):
+    """Stand in for ``multiprocessing.Pool``; returns the pool sizes asked for and the
+    candidates fed to the pool."""
+    calls = SimpleNamespace(sizes=[], fed=[])
+
+    class Pool:
+        def __init__(self, processes):
+            calls.sizes.append(processes)
+
+        def map_async(self, work, items, chunksize):
+            calls.fed.extend(items)
+            return SimpleNamespace(get=lambda: [work(item) for item in items])
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    return calls
+
+
+def test_sweep_lowers_workers_to_the_cpu_count(monkeypatch):
+    pool = in_process_pool(monkeypatch, cpus=3)
+    serial = render_report(max_admissible_size(7))
+    assert render_report(max_admissible_size(7, workers=100_000)) == serial
+    assert pool.sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    assert render_report(max_admissible_size(7, workers=100_000)) == serial
+    assert pool.sizes == [3]
+
+
+def test_a_level_that_ends_early_stops_feeding_the_pool(monkeypatch):
+    pool = in_process_pool(monkeypatch, cpus=2)
+    report = max_admissible_size(17, workers=2, min_size=7, max_size=7)
+    assert report.max_size == 7 and report.candidates_examined == 15
+    # the batch of 8 being read and two more per worker, out of the level's 3003 candidates
+    assert pool.fed == list(candidates(17, 7))[:len(pool.fed)]
+    assert report.candidates_examined <= len(pool.fed) < report.candidates_examined + 5 * 8
+
+
+def test_a_resumed_sweep_writes_the_certificates_of_a_fresh_one(tmp_path):
+    max_admissible_size(11, checkpoint_path=tmp_path / "resumed.jsonl")
+    max_admissible_size(11, checkpoint_path=tmp_path / "resumed.jsonl",
+                        cert_dir=tmp_path / "resumed")
+    max_admissible_size(11, checkpoint_path=tmp_path / "fresh.jsonl", cert_dir=tmp_path / "fresh")
+    names = sorted(f.name for f in (tmp_path / "fresh").iterdir())
+    assert len(names) == 2  # the witness bundle, one per equation class
+    assert sorted(f.name for f in (tmp_path / "resumed").iterdir()) == names
+    assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_verify_report_payload_accepts_the_sweep_reports(p):
+    report = json.loads(render_report(max_admissible_size(p)))
+    assert report["maximality"] == "proven" and report["refutations"]
+    assert verify_report_payload(report)
+
+
+def test_verify_report_payload_rejects_a_bundle_that_refutes_its_witness():
+    # every representative of p = 7 is checked for (0, 1, 2, 3) before its refutation
+    verdict = check_pair(digit_pair(7, (0, 1, 2, 3)))
+    assert not verdict.admissible and verdict.outcomes[-1].method == "cone"
+    assert [o.b for o in verdict.outcomes] == list(search.equation_classes(7).representatives)
+    report = {"p": 7, "max_size": 4, "maximality": "not-attempted", "refutations": [],
+              "witness": {"digits": [0, 1, 2, 3], "fixed": [0, 1, 2, 3],
+                          "bundle": [outcome_to_jsonable(o) for o in verdict.outcomes]}}
+    assert not verify_report_payload(report)
+
+
+def test_verify_report_payload_counts_a_repeated_witness_digit_once():
+    # a forged claim of size 4 at p = 7: the size-3 witness with a digit repeated,
+    # and a true refutation of every size-5 candidate
+    report = json.loads(render_report(max_admissible_size(7)))
+    report["witness"]["digits"] = [0, 1, 2, 2]
+    report["max_size"] = 4
+    report["refutations"] = []
+    for digits in candidates(7, 5):
+        refuting = check_pair(digit_pair(7, digits)).outcomes[-1]
+        report["refutations"].append({"digits": list(digits), "b": refuting.b,
+                                      "witness": [str(v) for v in refuting.proof.witness]})
+    assert not verify_report_payload(report)
+
+
+def test_verify_report_payload_accepts_a_partial_report_and_one_without_a_witness():
+    assert verify_report_payload(json.loads(render_report(max_admissible_size(11, max_size=3))))
+    assert verify_report_payload(json.loads(render_report(max_admissible_size(7, min_size=4))))
 
 
 @pytest.mark.parametrize("kwargs", [
