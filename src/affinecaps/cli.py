@@ -177,6 +177,8 @@ def _truncate5(v: float) -> str:
 
 def cmd_table(args) -> int:
     primes = [int(v) for v in args.p.replace(",", " ").split()]
+    if not primes:
+        raise CliError("need at least one prime")
     rows = [bound_table(p) for p in primes]
     upper = [p * eg_constant(p) for p in primes]
     header = (f"{'p':>4} {'p^(2/3)':>12} {'(p^4+p^2-1)^(1/6)':>18} {'new':>4} {'mu':>9}"

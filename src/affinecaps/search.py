@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -293,6 +294,7 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
     """The checkpoint record of one candidate: its verdict and, if refuted, the witness."""
     verdict = check_pair(digit_pair(p, digits))
     record: dict = {
+        "p": p,
         "size": len(digits),
         "digits": list(digits),
         "admissible": verdict.admissible,
@@ -306,15 +308,19 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
 
 
 class _Checkpoint:
-    """Append-only JSONL store of candidate verdicts, keyed by (size, digits).
+    """Append-only JSONL store of the candidate verdicts mod ``p``, keyed by (size, digits),
+    that computes the missing ones, through a pool when ``workers`` is above 1.
 
+    A record of another modulus is refused with ValueError on opening; a
+    record without ``"p"`` (the earlier format) is read as one mod ``p``.
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
     candidate is checked again. Any other unparseable line is an error.
     """
 
-    def __init__(self, path) -> None:
+    def __init__(self, path, p: int, workers: int) -> None:
         self.path = Path(path) if path else None
+        self.p, self.workers = p, workers
         self.records: dict[tuple[int, tuple[int, ...]], dict] = {}
         if self.path and self.path.exists():
             data = self.path.read_bytes()
@@ -322,23 +328,49 @@ class _Checkpoint:
             for line in data[:complete].decode().splitlines():
                 if line.strip():
                     rec = json.loads(line)
+                    if rec.get("p", p) != p:
+                        raise ValueError(f"checkpoint {self.path} holds a verdict mod "
+                                         f"{rec['p']}, not mod {p}")
                     self.records[(rec["size"], tuple(rec["digits"]))] = rec
             if complete < len(data):
                 os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None
+        self.budget_exhausted, self._pool = False, None
+        if workers > 1:
+            from multiprocessing import Pool
+            self._pool = Pool(workers)
 
-    def get(self, size: int, digits: tuple[int, ...]):
-        return self.records.get((size, digits))
+    def level(self, size: int, room: float, deadline: float):
+        """The records of ``candidates(p, size)`` in order: the stored ones, and
+        the missing ones computed and appended.
 
-    def add(self, rec: dict) -> None:
-        self.records[(rec["size"], tuple(rec["digits"]))] = rec
-        if self._fh:
-            self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            self._fh.flush()
+        The budget is checked before each candidate: once ``room`` records
+        are yielded, or the clock is past ``deadline``, the stream ends early
+        and sets ``budget_exhausted``.
+        """
+        order = list(candidates(self.p, size))
+        pending = [d for d in order if (size, d) not in self.records]
+        work = partial(_candidate_record, self.p)
+        computed = (_in_batches(self._pool, work, pending, 2 * self.workers) if self._pool
+                    else map(work, pending))
+        for i, digits in enumerate(order):
+            if i >= room or time.monotonic() > deadline:
+                self.budget_exhausted = True
+                return
+            rec = self.records.get((size, digits))
+            if rec is None:
+                rec = next(computed)
+                if self._fh:
+                    self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    self._fh.flush()
+            yield rec
 
     def close(self) -> None:
         if self._fh:
             self._fh.close()
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
 
 
 def max_admissible_size(
@@ -361,10 +393,11 @@ def max_admissible_size(
     first level it sweeps is already fully refuted. A ``max_size``
     above p - 1 is lowered to p - 1, and ``workers`` above the CPU count
     to that count; ``min_size`` outside 2..p-1, a ``max_size`` below
-    ``min_size``, fewer than one worker and a negative budget raise
-    ValueError before any work starts. ``cert_dir`` receives the
-    certificates of the witness bundle; the refutations live in the
-    report, which ``verify_report_payload`` checks.
+    ``min_size``, fewer than one worker, a negative budget and a
+    checkpoint holding verdicts of another modulus raise ValueError
+    before any work starts. ``cert_dir`` receives the certificates of the
+    witness bundle; the refutations live in the report, which
+    ``verify_report_payload`` checks.
     """
     p = Prime(p)
     if not 2 <= min_size <= p - 1:
@@ -379,65 +412,32 @@ def max_admissible_size(
         if limit is not None and not limit >= 0:  # NaN fails too
             raise ValueError(f"the {name} budget must not be negative, got {limit}")
     top = p - 1 if max_size is None else min(max_size, p - 1)
-    started = time.monotonic()
-    ckpt = _Checkpoint(checkpoint_path)
-    examined = 0
-    best: dict | None = None
-
-    def exhausted() -> bool:
-        if budget.max_seconds is not None and time.monotonic() - started > budget.max_seconds:
-            return True
-        if budget.max_candidates is not None and examined >= budget.max_candidates:
-            return True
-        return False
-
-    def partial_report() -> SearchReport:
-        return _finalize(p, best, examined, maximality="not-attempted",
-                         refutations=(), budget_exhausted=True, cert_dir=cert_dir)
-
-    pool = None
+    deadline = time.monotonic() + (math.inf if budget.max_seconds is None else budget.max_seconds)
+    most = math.inf if budget.max_candidates is None else budget.max_candidates
+    ckpt = _Checkpoint(checkpoint_path, int(p), workers)
+    examined, best, refuted = 0, None, []
     try:
-        if workers > 1:
-            from multiprocessing import Pool
-            pool = Pool(workers)
-        work = partial(_candidate_record, int(p))
         for size in range(min_size, top + 1):
-            level = list(candidates(p, size))
-            pending = [d for d in level if ckpt.get(size, d) is None]
-            results = _in_batches(pool, work, pending, 2 * workers) if pool else map(work, pending)
-            found = None
-            level_records = []
-            for digits in level:
-                if exhausted():
-                    return partial_report()
-                rec = ckpt.get(size, digits)
-                if rec is None:
-                    rec = next(results)
-                    ckpt.add(rec)
+            level = []
+            for rec in ckpt.level(size, most - examined, deadline):
                 examined += 1
-                level_records.append(rec)
                 if rec["admissible"]:
-                    found = rec
+                    best = rec
                     break
-            if found is None:
-                if best is None:  # nothing admissible from min_size up: no maximum to prove
-                    break
-                refutations = tuple(
-                    Refutation(tuple(r["digits"]), r["refuted_b"],
-                               tuple(int(v) for v in r["witness"]))
-                    for r in level_records
-                )
-                return _finalize(p, best, examined, maximality="proven",
-                                 refutations=refutations, budget_exhausted=False,
-                                 cert_dir=cert_dir)
-            best = found
-        return _finalize(p, best, examined, maximality="not-attempted",
-                         refutations=(), budget_exhausted=False, cert_dir=cert_dir)
+                level.append(rec)
+            else:  # out of budget, or every candidate refuted: a proof if best is set
+                refuted = [] if ckpt.budget_exhausted or best is None else level
+                break
     finally:
         ckpt.close()
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    witness = None if best is None else minimize_fixed_digits(best["digits"], p)
+    if witness is not None and cert_dir is not None:
+        for outcome in witness.outcomes:
+            store_certificate(certificate_payload(witness.pair, outcome), cert_dir)
+    refutations = tuple(Refutation(tuple(r["digits"]), r["refuted_b"],
+                                   tuple(int(v) for v in r["witness"])) for r in refuted)
+    return SearchReport(int(p), witness, examined, "proven" if refutations else "not-attempted",
+                        refutations, ckpt.budget_exhausted)
 
 
 def _in_batches(pool, work, pending: list, window: int):
@@ -453,17 +453,6 @@ def _in_batches(pool, work, pending: list, window: int):
         done = queue.popleft().get()
         queue.extend(pool.map_async(work, b, batch) for b in islice(batches, 1))
         yield from done
-
-
-def _finalize(p, best, examined, maximality, refutations, budget_exhausted,
-              cert_dir) -> SearchReport:
-    minimal = None
-    if best is not None:
-        minimal = minimize_fixed_digits(tuple(best["digits"]), p)
-        if cert_dir is not None:
-            for outcome in minimal.outcomes:
-                store_certificate(certificate_payload(minimal.pair, outcome), cert_dir)
-    return SearchReport(int(p), minimal, examined, maximality, refutations, budget_exhausted)
 
 
 def minimize_fixed_digits(digits, p: int) -> PairVerdict:

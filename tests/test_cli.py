@@ -323,6 +323,13 @@ def test_table_rejects_a_prime_without_a_known_best_size(capsys):
     assert err == "error: no known best digit-set size for p=43\n"
 
 
+@pytest.mark.parametrize("primes", [",", "", " , "])
+def test_table_without_a_prime_is_an_input_error(capsys, primes):
+    code, out, err = run(capsys, "table", "-p", primes)
+    assert code == 2 and not out
+    assert err == "error: need at least one prime\n"
+
+
 def test_search_p7_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     assert code == 0
@@ -426,6 +433,17 @@ def test_search_rejects_a_corrupt_checkpoint_line_before_the_last(tmp_path, caps
     ckpt.write_text("".join(lines[:1] + ["{torn\n"] + lines[1:]))
     code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     assert code == 2 and err.startswith("error: ")
+
+
+def test_search_refuses_a_checkpoint_of_another_modulus(tmp_path, capsys):
+    run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    ckpt = tmp_path / "search_p11.checkpoint.jsonl"
+    ckpt.write_bytes((tmp_path / "search_p7.checkpoint.jsonl").read_bytes())
+    code, out, err = run(capsys, "--out", str(tmp_path), "search", "-p", "11")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ckpt.read_bytes() == (tmp_path / "search_p7.checkpoint.jsonl").read_bytes()
+    assert not (tmp_path / "search_p11.json").exists()
 
 
 def test_classify_json(tmp_path, capsys):

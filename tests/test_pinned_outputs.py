@@ -17,6 +17,7 @@ from affinecaps import digit_pair
 from affinecaps.cone import ConeCertificate
 from affinecaps.search import (
     RepOutcome,
+    SearchBudget,
     certificate_payload,
     check_pair,
     max_admissible_size,
@@ -81,15 +82,16 @@ SWEEP_CERTIFICATES = {
     ),
 }
 
-# SHA-256 of the checkpoint file written by the same sweep, with or without cert_dir
+# SHA-256 of the checkpoint file written by the same sweep, with or without cert_dir;
+# each record names its modulus under "p"
 SWEEP_CHECKPOINT_SHA256 = {
-    7: "66d010bc93424fa822b1f80d366d3e3381b90f35b0b93ea404d37a4444adf21c",
-    11: "1d3ef0d4ceab4457eaa7a9f3f9fdb58f5fb38398e0124a560a33004733d14436",
+    7: "2c514bf5e7a4f800f0fba806d6700775241ad0761e32e6f1d1d7b2701b531f68",
+    11: "2f8926a6dd1c85be5a618b5444f120465248f21f5c020931ca18c1928b9d1593",
 }
 
 # SHA-256 of the checkpoint that the sweep wrote while it also stored one
 # certificate file per refuted candidate: each refuted record then carried the
-# file's name under "cert"
+# file's name under "cert", and no record carried "p"
 CERT_NAMED_CHECKPOINT_SHA256 = {
     7: "8bdf504289bf9a8168fc71a22bb041eb2fcf45b9574231131b0ffd5ebb29dca2",
     11: "c8d33866bead53bf264fc533afe05db8331e6004da909f65da11a90e8a61f8b4",
@@ -130,10 +132,12 @@ def test_sweep_certificate_names_and_checkpoint_are_pinned(tmp_path, p):
 
 
 def with_certificate_names(checkpoint: bytes, p: int, cert_dir) -> bytes:
-    """The checkpoint with the certificate name of each refutation added under "cert"."""
+    """The checkpoint in the format before records named their modulus: "p" dropped,
+    and the certificate name of each refutation added under "cert"."""
     lines = []
     for line in checkpoint.decode().splitlines():
         rec = json.loads(line)
+        assert rec.pop("p") == p
         if not rec["admissible"]:
             refuting = RepOutcome(rec["refuted_b"], ConeCertificate(
                 "nontrivial", witness=tuple(int(v) for v in rec["witness"])))
@@ -158,3 +162,27 @@ def test_the_checkpoint_is_the_cert_named_one_without_its_names(tmp_path, p):
     assert resumed.read_bytes() == named
     assert sorted(f.stem for f in (tmp_path / "certs").iterdir()) == \
         list(SWEEP_CERTIFICATES[p])
+
+
+# (p, budget, candidates examined): every candidate budget up to the whole p = 7
+# sweep (12 candidates) and one past it; for p = 11, the first candidate, one
+# inside the final level, the last one of that level before the proof (the final
+# level holds candidates 5 to 130), and no time at all
+BUDGET_CUTS = ([(7, SearchBudget(max_candidates=k), min(k, 12)) for k in range(14)]
+               + [(11, SearchBudget(max_candidates=k), k) for k in (1, 64, 129)]
+               + [(11, SearchBudget(max_seconds=0), 0)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p, budget, examined", BUDGET_CUTS)
+def test_every_budget_cut_resumes_to_the_pinned_report(tmp_path, p, budget, examined, workers):
+    checkpoint_path = tmp_path / "cut.jsonl"
+    cut = max_admissible_size(p, budget, checkpoint_path, workers)
+    lines = checkpoint_path.read_bytes().splitlines()
+    assert len(lines) == cut.candidates_examined == examined
+    report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers)
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == REPORT_SHA256[p]
+    assert checkpoint_path.read_bytes().splitlines()[:len(lines)] == lines
+    assert cut.budget_exhausted == (examined < report.candidates_examined)
+    if cut.budget_exhausted:  # a cut inside the refuted level proves nothing
+        assert cut.maximality == "not-attempted" and cut.refutations == ()

@@ -150,6 +150,18 @@ def test_sweep_checkpoint_resume_byte_identical(tmp_path):
     assert resumed.candidates_examined == fresh.candidates_examined
 
 
+@pytest.mark.parametrize("written, read", [(7, 11), (11, 13)])
+def test_a_checkpoint_of_another_modulus_is_refused_before_any_check(
+        tmp_path, monkeypatch, written, read):
+    ckpt = tmp_path / "sweep.jsonl"
+    max_admissible_size(written, checkpoint_path=ckpt)
+    kept = ckpt.read_bytes()
+    monkeypatch.setattr(search, "check_pair", lambda pair: pytest.fail("a candidate was checked"))
+    with pytest.raises(ValueError, match=f"mod {written}, not mod {read}"):
+        max_admissible_size(read, checkpoint_path=ckpt, cert_dir=tmp_path / "certs")
+    assert ckpt.read_bytes() == kept and not (tmp_path / "certs").exists()
+
+
 def test_store_certificate_repairs_a_torn_file(tmp_path):
     payload = {"p": 7, "digits": [0, 1, 2], "method": "cone"}
     digest = store_certificate(payload, tmp_path)
