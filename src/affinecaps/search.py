@@ -5,7 +5,9 @@ frequency-pinned digits only adds balance equations, shrinking the cone, so
 a pair is admissible for some choice of fixed digits iff it is admissible
 with every digit pinned. Levels are therefore swept with fixed = all of D;
 maximality at size l means every size-(l+1) candidate was refuted by a
-nonzero cone witness for some equation representative.
+nonzero cone witness for some equation representative. An affine map of the
+digits preserves every line equation, so one candidate per affine orbit is
+enough.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -39,20 +41,37 @@ from .reducibility import (
     verify_digit_trace,
     verify_matrix_trace,
 )
-from .zp import DigitSetPair, Prime, digit_pair, equation_classes, make_line_equation
+from .zp import (
+    DigitSetPair,
+    Prime,
+    digit_pair,
+    equation_classes,
+    is_normal_form,
+    make_line_equation,
+    normalize_digit_set,
+    orbit_count,
+)
 
 
-def candidates(p: int, size: int):
-    """All ascending digit sets of the given size containing 0 and 1.
+@lru_cache(maxsize=2)
+def candidates(p: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The normal forms (``normalize_digit_set``) of the size-``size`` digit sets,
+    one per affine orbit, in ascending order.
 
-    Every orbit under affine maps has such a member, so nothing admissible
-    is missed.
+    Orderly generation (Read, 1978): deleting the largest digit of a normal
+    form leaves a normal form, since an image of the rest that sorts below
+    it would, with the image of the deleted digit added, sort below the
+    whole set. So the level is the sets S + (m,), for S one level down and
+    m > max S, that are their own normal form. The sweep asks for the levels
+    in turn, so a cache of two builds each level once.
     """
     p = Prime(p)
     if not 2 <= size <= p - 1:
         raise ValueError(f"size must lie in 2..{p - 1}, got {size}")
-    for rest in combinations(range(2, p), size - 2):
-        yield (0, 1) + rest
+    if size == 2:
+        return ((0, 1),)
+    return tuple(s + (m,) for s in candidates(p, size - 1) for m in range(s[-1] + 1, p)
+                 if is_normal_form(s + (m,), p))
 
 
 @dataclass(frozen=True)
@@ -255,9 +274,12 @@ def verify_report_payload(data) -> bool:
     """Re-check a document written by ``render_report``, trusting nothing in it.
 
     A loop over ``verify_certificate_payload``: the bundle must close each
-    equation-class representative of the witness pair in turn, ``max_size``
-    must be the witness's size, and a ``proven`` report must refute, in
-    order, every candidate one digit larger with all digits pinned. A
+    equation-class representative of the witness pair in turn, and
+    ``max_size`` must be the witness's size. A ``proven`` report must refute
+    digit sets one digit larger, with all digits pinned, whose normal forms
+    are ``orbit_count`` many distinct ones: one refuted member of every
+    affine orbit, and admissibility is affine-invariant. The refuted sets
+    are not compared with ``candidates``, so no generator is trusted. A
     ``not-attempted`` report lists no refutations, and a report without a
     witness claims nothing. Raises ValueError (or KeyError for a missing
     field) when the document is malformed.
@@ -280,7 +302,9 @@ def verify_report_payload(data) -> bool:
                 return False
         if maximality == "not-attempted":
             return not refutations
-        if [r["digits"] for r in refutations] != [list(d) for d in candidates(p, size + 1)]:
+        if any(len(set(r["digits"])) != size + 1 for r in refutations) or \
+                len({normalize_digit_set(r["digits"], p) for r in refutations}) \
+                != orbit_count(p, size + 1):
             return False
         return all(verify_certificate_payload(
             {"p": p, "digits": r["digits"], "fixed": r["digits"], "b": r["b"], "method": "cone",
@@ -309,7 +333,9 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
 
 class _Checkpoint:
     """Append-only JSONL store of the candidate verdicts mod ``p``, keyed by (size, digits),
-    that computes the missing ones, through a pool when ``workers`` is above 1.
+    that computes the missing ones, through a pool when ``workers`` is above 1, while
+    the budget lasts: at most ``room`` of them, and none once the clock is past
+    ``deadline``. Stored verdicts cost no budget, so each budgeted run advances.
 
     A record of another modulus is refused with ValueError on opening; a
     record without ``"p"`` (the earlier format) is read as one mod ``p``.
@@ -318,9 +344,9 @@ class _Checkpoint:
     candidate is checked again. Any other unparseable line is an error.
     """
 
-    def __init__(self, path, p: int, workers: int) -> None:
+    def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
         self.path = Path(path) if path else None
-        self.p, self.workers = p, workers
+        self.p, self.workers, self.room, self.deadline = p, workers, room, deadline
         self.records: dict[tuple[int, tuple[int, ...]], dict] = {}
         if self.path and self.path.exists():
             data = self.path.read_bytes()
@@ -340,25 +366,25 @@ class _Checkpoint:
             from multiprocessing import Pool
             self._pool = Pool(workers)
 
-    def level(self, size: int, room: float, deadline: float):
+    def level(self, size: int):
         """The records of ``candidates(p, size)`` in order: the stored ones, and
         the missing ones computed and appended.
 
-        The budget is checked before each candidate: once ``room`` records
-        are yielded, or the clock is past ``deadline``, the stream ends early
-        and sets ``budget_exhausted``.
+        The budget is checked before each missing candidate: when it is
+        spent, the stream ends early and sets ``budget_exhausted``.
         """
-        order = list(candidates(self.p, size))
+        order = candidates(self.p, size)
         pending = [d for d in order if (size, d) not in self.records]
         work = partial(_candidate_record, self.p)
         computed = (_in_batches(self._pool, work, pending, 2 * self.workers) if self._pool
                     else map(work, pending))
-        for i, digits in enumerate(order):
-            if i >= room or time.monotonic() > deadline:
-                self.budget_exhausted = True
-                return
+        for digits in order:
             rec = self.records.get((size, digits))
             if rec is None:
+                if self.room <= 0 or time.monotonic() > self.deadline:
+                    self.budget_exhausted = True
+                    return
+                self.room -= 1
                 rec = next(computed)
                 if self._fh:
                     self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -387,6 +413,10 @@ def max_admissible_size(
     Ascends through sizes; a size is settled by the first admissible
     candidate, and the sweep ends at the first size where the full scan
     refutes every candidate, which is the maximality proof for size - 1.
+    The first admissible normal form is the first admissible set containing
+    0 and 1, since its normal form sorts no higher and also holds 0 and 1.
+    The budget counts the candidates checked in this run, not the verdicts
+    read back from the checkpoint; ``candidates_examined`` counts both.
     An exceeded budget yields a partial report (maximality not attempted),
     never an unproven claim; the same holds when the sweep is capped by
     ``max_size`` before reaching a fully refuted level, and when the
@@ -414,12 +444,12 @@ def max_admissible_size(
     top = p - 1 if max_size is None else min(max_size, p - 1)
     deadline = time.monotonic() + (math.inf if budget.max_seconds is None else budget.max_seconds)
     most = math.inf if budget.max_candidates is None else budget.max_candidates
-    ckpt = _Checkpoint(checkpoint_path, int(p), workers)
+    ckpt = _Checkpoint(checkpoint_path, int(p), workers, most, deadline)
     examined, best, refuted = 0, None, []
     try:
         for size in range(min_size, top + 1):
             level = []
-            for rec in ckpt.level(size, most - examined, deadline):
+            for rec in ckpt.level(size):
                 examined += 1
                 if rec["admissible"]:
                     best = rec

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from math import comb, gcd
 
 
 # Every modulus lies below this bound: trial division then takes at most
@@ -150,21 +150,56 @@ def gap_sequence(digits, p: int) -> tuple[int, ...]:
     return tuple(gaps)
 
 
+def _unit_images(digits: tuple[int, ...], p: int):
+    """Sorted images of the digit set under each map that sends one digit to 0 and
+    another to 1: x -> (x - u) / (v - u) for digits u != v."""
+    for u in digits:
+        for v in digits:
+            if v != u:
+                a = pow(v - u, -1, p)
+                yield tuple(sorted(a * (d - u) % p for d in digits))
+
+
 def normalize_digit_set(digits, p: int) -> tuple[int, ...]:
     """Lexicographically least affine image of the digit set.
 
-    An image containing 0 is the prefix sums of its gap sequence read from
-    0, and lexicographic order on such images is order on the gap
-    sequences, so the least image comes from the least rotation of the gap
-    sequence of a*D over the units a. The minimum always contains 0 and 1
-    once |digits| >= 2, so canonical representatives can be enumerated
-    among sets containing both.
+    Once |digits| >= 2 some image holds 0 and 1, so the least image does,
+    and it is the least image under the maps sending one digit to 0 and
+    another to 1: the k(k - 1) maps of ``_unit_images``, not all p(p - 1).
+    So canonical representatives can be enumerated among sets containing
+    both 0 and 1.
     """
     p = Prime(p)
     digits = tuple(sorted(set(digits)))
-    gap_sequence(digits, p)  # rejects digits outside [0, p)
-    least = min(
-        min(gaps[i:] + gaps[:i] for i in range(len(gaps)))
-        for gaps in (gap_sequence(affine_image(digits, a, 0, p), p) for a in range(1, p))
-    )
-    return tuple(accumulate(least[:-1], initial=0))
+    gap_sequence(digits, p)  # rejects an empty set and digits outside [0, p)
+    return min(_unit_images(digits, p), default=(0,))
+
+
+def is_normal_form(digits: tuple[int, ...], p: int) -> bool:
+    """Whether an ascending tuple of residues with at least two entries is its own
+    normal form, ``normalize_digit_set(digits, p) == digits``, stopping at the
+    first smaller image."""
+    return all(image >= digits for image in _unit_images(digits, p))
+
+
+def orbit_count(p: int, k: int) -> int:
+    """The number of k-subsets of Z_p up to the maps x -> a*x + t, by Burnside's lemma.
+
+    The identity fixes all C(p, k) subsets, and a translation other than the
+    identity, one p-cycle, fixes only the empty set and Z_p. A map with
+    a != 1 is conjugate by a translation to x -> a*x, which fixes 0 and
+    permutes the other residues in cycles of length d = ord(a): it fixes the
+    unions of cycles, with or without 0. The p maps of each such a, and the
+    phi(d) units of each order d, are counted together.
+    """
+    p = Prime(p)
+    if not 0 <= k <= p:
+        raise ValueError(f"subset size must lie in 0..{p}, got {k}")
+    fixed = comb(p, k) + (p - 1) * (k in (0, p))
+    for d in range(2, p):
+        if (p - 1) % d == 0:
+            units_of_order_d = sum(1 for a in range(1, d) if gcd(a, d) == 1)
+            cycles = (p - 1) // d
+            fixed += p * units_of_order_d * sum(comb(cycles, j // d) for j in (k, k - 1)
+                                                 if j % d == 0)
+    return fixed // (p * (p - 1))

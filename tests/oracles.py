@@ -24,6 +24,11 @@ order that runs the cone before the matrix rule and records the same proofs.
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
 least image of a digit set, the reference for ``normalize_digit_set``.
 
+``all_candidates`` is every ascending digit set of a size that contains 0
+and 1, the full stream that ``search.candidates`` thins to one normal form
+per affine orbit; a sweep run on it gives the reports and checkpoints of
+the sweep before that change.
+
 ``mirror_partner`` and ``swap_partner`` are the two equation-class moves:
 the b of the equation whose progressions are this one's reversed, and with
 their last two entries swapped. ``searched_equation_classes`` closes each b
@@ -54,7 +59,7 @@ and columns afterwards.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
@@ -70,7 +75,7 @@ from affinecaps import (
 from affinecaps.capset import CapCheck, _as_point_array
 from affinecaps.reducibility import MatrixStep, ReductionTrace
 from affinecaps.search import PairVerdict, RepOutcome
-from affinecaps.zp import LineEquation, affine_image
+from affinecaps.zp import LineEquation, Prime, affine_image
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
@@ -166,6 +171,14 @@ def matrix_first_check_pair(pair) -> PairVerdict:
 def brute_normalize(digits, p: int) -> tuple[int, ...]:
     """Lexicographically least image of the digit set over all affine maps."""
     return min(affine_image(digits, a, b, p) for a in range(1, p) for b in range(p))
+
+
+def all_candidates(p: int, size: int):
+    """All ascending digit sets of the given size containing 0 and 1."""
+    p = Prime(p)
+    if not 2 <= size <= p - 1:
+        raise ValueError(f"size must lie in 2..{p - 1}, got {size}")
+    return [(0, 1) + rest for rest in combinations(range(2, p), size - 2)]
 
 
 def mirror_partner(eq: LineEquation) -> int:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Criteria with multi-minute
-budgets carry the `extended` marker; the optional long sweep is `nightly`.
+Run with `pytest tests/test_acceptance.py -v -s`. The p=23 maximality sweep
+carries the `extended` marker.
 """
 
 import math
@@ -174,28 +174,25 @@ def test_criterion_07_maximality_small_primes():
     r13 = max_admissible_size(13)
     e13 = time.monotonic() - t0
     assert r13.max_size == 4 and r13.maximality == "proven" and e13 < 900
+
+    t0 = time.monotonic()
+    r17 = max_admissible_size(17)
+    e17 = time.monotonic() - t0
+    assert r17.max_size == 7 and r17.maximality == "proven" and e17 < 7200
     report(7, f"max sizes proven: p=7 -> 3 ({e7:.2f}s), p=11 -> 5 ({e11:.2f}s), "
-              f"p=13 -> 4 ({e13:.2f}s)")
+              f"p=13 -> 4 ({e13:.2f}s), p=17 -> 7 ({e17:.2f}s, "
+              f"{r17.candidates_examined} candidates)")
 
 
 @pytest.mark.extended
-def test_criterion_07_extended_p17():
+def test_criterion_07_extended_p23():
     t0 = time.monotonic()
-    result = max_admissible_size(17, workers=4)
-    elapsed = time.monotonic() - t0
-    assert result.max_size == 7 and result.maximality == "proven"
-    assert elapsed < 7200
-    report(7, f"extended: p=17 -> 7 proven ({elapsed:.0f}s, "
-              f"{result.candidates_examined} candidates)")
-
-
-@pytest.mark.nightly
-def test_criterion_07_nightly_p23():
-    t0 = time.monotonic()
-    result = max_admissible_size(23, workers=4)
+    result = max_admissible_size(23, workers=1)
     elapsed = time.monotonic() - t0
     assert result.max_size == 9 and result.maximality == "proven"
-    report(7, f"nightly: p=23 -> 9 proven ({elapsed:.0f}s)")
+    assert elapsed < 60
+    report(7, f"extended: p=23 -> 9 proven ({elapsed:.0f}s, "
+              f"{result.candidates_examined} candidates)")
 
 
 def test_criterion_08_certificate_soundness():

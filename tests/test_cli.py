@@ -151,8 +151,10 @@ def report_p11():
 
 
 def swap_refutations(report):
+    """Each of two refuted digit sets listed with the other's witness."""
     refutations = report["refutations"]
-    refutations[5], refutations[6] = refutations[6], refutations[5]
+    refutations[4]["digits"], refutations[5]["digits"] = \
+        refutations[5]["digits"], refutations[4]["digits"]
 
 
 def bump_witness_entry(report):
@@ -173,7 +175,7 @@ def change_bundle_trace(report):
 
 @pytest.mark.parametrize("tamper", [
     lambda r: r["refutations"].pop(5),
-    lambda r: r["refutations"].insert(5, r["refutations"][5]),
+    lambda r: r["refutations"].__setitem__(5, r["refutations"][4]),
     swap_refutations,
     bump_witness_entry,
     change_bundle_trace,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_phase_one, fraction_rref
+from oracles import all_candidates, fraction_phase_one, fraction_rref
 from affinecaps import rref, search
 from affinecaps.cone import _phase_one, cone_trivial
 from affinecaps.reducibility import _eliminate
@@ -51,6 +51,7 @@ def test_sweep_cone_systems_match_the_fraction_reference(monkeypatch):
 
     cone_trivial = search.cone_trivial
     monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
+    monkeypatch.setattr(search, "candidates", all_candidates)  # every set with 0 and 1
     for p in (5, 7, 11, 13):
         max_admissible_size(p)
     assert len(systems) > 300
@@ -124,6 +125,7 @@ def test_no_numpy_scalar_leaves_the_kernel(monkeypatch):
         return cone_trivial(system)
 
     monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
+    monkeypatch.setattr(search, "candidates", all_candidates)  # every set with 0 and 1
     for p in (5, 7, 11, 13):
         max_admissible_size(p)
     assert len(systems) > 300

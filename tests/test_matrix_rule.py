@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import golden as G
-from oracles import fraction_rref, recomputing_matrix_reduce
+from oracles import all_candidates, fraction_rref, recomputing_matrix_reduce
 from affinecaps import (
     build_constraint_system,
     digit_pair,
@@ -21,7 +21,7 @@ from affinecaps import (
     matrix_reduce,
     reducibility,
 )
-from affinecaps.search import candidates, max_admissible_size
+from affinecaps.search import max_admissible_size
 
 
 def representative_systems(pair):
@@ -30,10 +30,11 @@ def representative_systems(pair):
 
 
 def sweep_pairs(p):
-    """Every candidate of every level that the maximality sweep of p visits."""
+    """Every digit set with 0 and 1 of every level that the maximality sweep of p
+    visits, not only the normal forms that it checks."""
     top = max_admissible_size(p).max_size + 1
     return [digit_pair(p, digits) for size in range(2, top + 1)
-            for digits in candidates(p, size)]
+            for digits in all_candidates(p, size)]
 
 
 def large_prime_pairs():

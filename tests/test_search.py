@@ -1,5 +1,4 @@
 import json
-import math
 import multiprocessing
 import os
 import random
@@ -9,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import golden as G
-from oracles import cone_admissible, matrix_first_check_pair
+from oracles import all_candidates, cone_admissible, matrix_first_check_pair
 from traffic import pipeline_pairs
 from affinecaps import digit_pair, normalize_digit_set, search
 from affinecaps.search import (
@@ -23,23 +22,27 @@ from affinecaps.search import (
     store_certificate,
     verify_report_payload,
 )
+from affinecaps.zp import affine_image, orbit_count
 
 
 def test_candidate_enumeration_counts():
-    assert list(candidates(5, 3)) == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-    assert sum(1 for _ in candidates(7, 4)) == 10
-    assert sum(1 for _ in candidates(23, 10)) == math.comb(21, 8)
-    with pytest.raises(ValueError):
-        list(candidates(7, 7))
+    assert list(candidates(5, 3)) == [(0, 1, 2)]
+    assert list(candidates(7, 4)) == [(0, 1, 2, 3), (0, 1, 2, 4)]
+    for p in (5, 7, 11, 13):
+        for size in range(2, p):
+            assert len(candidates(p, size)) == orbit_count(p, size), (p, size)
+    for size in (1, 7):
+        with pytest.raises(ValueError):
+            candidates(7, size)
 
 
 def test_candidates_canonical_mode():
-    full = list(candidates(11, 4))
-    canon = [d for d in full if normalize_digit_set(d, 11) == d]
-    assert set(canon) < set(full)
-    # every orbit keeps exactly one member
-    orbits = {normalize_digit_set(d, 11) for d in full}
-    assert orbits == set(canon)
+    for p in (5, 7, 11, 13):
+        for size in range(2, p):
+            full = all_candidates(p, size)
+            # one member of every orbit, its normal form, in ascending order
+            assert list(candidates(p, size)) == sorted({normalize_digit_set(d, p) for d in full})
+            assert set(candidates(p, size)) <= set(full)
 
 
 def test_check_pair_methods_published_pairs():
@@ -79,7 +82,7 @@ def test_the_matrix_rule_runs_only_on_a_trivial_cone(monkeypatch):
     for p in (11, 13):
         max_admissible_size(p)
     stuck = sum(not trace.reduced for trace in results["digit_reduce"])
-    assert len(results["cone_trivial"]) == stuck == 312
+    assert len(results["cone_trivial"]) == stuck == 37
     assert results["matrix_reduce"] == []
     for calls in results.values():
         calls.clear()
@@ -110,7 +113,7 @@ def test_sweep_p7():
     assert report.maximality == "proven"
     assert report.witness.pair.digits == (0, 1, 2)
     assert report.witness.pair.fixed == (0,)
-    assert len(report.refutations) == 10  # every 4-digit candidate refuted
+    assert len(report.refutations) == 2  # both 4-digit orbits refuted
     for ref in report.refutations:
         assert any(v > 0 for v in ref.witness)
     assert not report.budget_exhausted
@@ -138,7 +141,7 @@ def test_sweep_budget_exhaustion_gives_partial_report():
 
 def test_sweep_checkpoint_resume_byte_identical(tmp_path):
     ckpt = tmp_path / "resume.jsonl"
-    partial = max_admissible_size(7, budget=SearchBudget(max_candidates=6),
+    partial = max_admissible_size(7, budget=SearchBudget(max_candidates=2),
                                   checkpoint_path=ckpt)
     assert partial.budget_exhausted
     lines = [json.loads(s) for s in ckpt.read_text().splitlines()]
@@ -222,8 +225,8 @@ def test_sweep_lowers_workers_to_the_cpu_count(monkeypatch):
 def test_a_level_that_ends_early_stops_feeding_the_pool(monkeypatch):
     pool = in_process_pool(monkeypatch, cpus=2)
     report = max_admissible_size(17, workers=2, min_size=7, max_size=7)
-    assert report.max_size == 7 and report.candidates_examined == 15
-    # the batch of 8 being read and two more per worker, out of the level's 3003 candidates
+    assert report.max_size == 7 and report.candidates_examined == 10
+    # the batch of 8 being read and two more per worker, out of the level's 75 candidates
     assert pool.fed == list(candidates(17, 7))[:len(pool.fed)]
     assert report.candidates_examined <= len(pool.fed) < report.candidates_examined + 5 * 8
 
@@ -257,6 +260,34 @@ def test_verify_report_payload_rejects_a_bundle_that_refutes_its_witness():
     assert not verify_report_payload(report)
 
 
+def refutation_of(p, digits) -> dict:
+    refuting = check_pair(digit_pair(p, digits)).outcomes[-1]
+    assert not refuting.trivial
+    return {"digits": list(digits), "b": refuting.b,
+            "witness": [str(v) for v in refuting.proof.witness]}
+
+
+def test_verify_report_payload_needs_a_refutation_in_every_orbit():
+    report = json.loads(render_report(max_admissible_size(11)))
+    assert len(report["refutations"]) == orbit_count(11, 6) == 6
+    # every member of an orbit may stand for it, and more than one may be listed
+    first = report["refutations"][0]["digits"]
+    other_member = affine_image(first, 3, 5, 11)
+    assert other_member != tuple(first)
+    report["refutations"].append(refutation_of(11, other_member))
+    assert verify_report_payload(report)
+    # a second member of one orbit in place of another orbit's refutation
+    report["refutations"][1] = report["refutations"].pop()
+    assert not verify_report_payload(report)
+    # one orbit missing
+    report = json.loads(render_report(max_admissible_size(11)))
+    del report["refutations"][3]
+    assert not verify_report_payload(report)
+    # a refutation of a set of another size fills no orbit
+    report["refutations"].append(refutation_of(11, (0, 1, 2, 3, 4, 5, 6)))
+    assert not verify_report_payload(report)
+
+
 def test_verify_report_payload_counts_a_repeated_witness_digit_once():
     # a forged claim of size 4 at p = 7: the size-3 witness with a digit repeated,
     # and a true refutation of every size-5 candidate
@@ -264,10 +295,7 @@ def test_verify_report_payload_counts_a_repeated_witness_digit_once():
     report["witness"]["digits"] = [0, 1, 2, 2]
     report["max_size"] = 4
     report["refutations"] = []
-    for digits in candidates(7, 5):
-        refuting = check_pair(digit_pair(7, digits)).outcomes[-1]
-        report["refutations"].append({"digits": list(digits), "b": refuting.b,
-                                      "witness": [str(v) for v in refuting.proof.witness]})
+    report["refutations"] = [refutation_of(7, digits) for digits in candidates(7, 5)]
     assert not verify_report_payload(report)
 
 
