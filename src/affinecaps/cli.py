@@ -32,6 +32,7 @@ from .search import (
     max_admissible_size,
     outcome_to_jsonable,
     render_report,
+    replace_file,
     store_certificate,
     verify_certificate_payload,
     verify_report_payload,
@@ -131,7 +132,7 @@ def cmd_search(args) -> int:
         max_size=args.lmax,
     )
     report_path = out / f"search_p{args.p}.json"
-    report_path.write_text(render_report(report))
+    replace_file(report_path, render_report(report).encode())
     status = "budget exhausted, partial" if report.budget_exhausted else report.maximality
     print(f"p={args.p}: max admissible size {report.max_size} ({status}); "
           f"{report.candidates_examined} candidates examined")

@@ -16,12 +16,12 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cone import (
@@ -45,6 +45,7 @@ from .zp import (
     DigitSetPair,
     Prime,
     digit_pair,
+    equation_class_count,
     equation_classes,
     is_normal_form,
     make_line_equation,
@@ -203,27 +204,100 @@ def report_to_jsonable(report: SearchReport) -> dict:
 
 
 def render_report(report: SearchReport) -> str:
-    """Canonical bytes for report files: sorted keys, two-space indent."""
-    return json.dumps(report_to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Canonical bytes for report files: ``_canonical_json`` of the report and a newline."""
+    return _canonical_json(report_to_jsonable(report)) + "\n"
+
+
+def _canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the documents the package writes.
+
+    Those are trees of dicts with str keys, lists, str, int, bool and None;
+    anything else, a float among them, raises TypeError. ``json.dumps``
+    with an indent runs its pure-Python encoder, which this one outruns by
+    skipping the options the package never uses.
+    """
+    parts: list[str] = []
+    _encode(obj, parts, "\n")
+    return "".join(parts)
+
+
+def _encode(obj, out: list[str], newline: str) -> None:
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):  # before int: True is an int
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, dict)) and not obj:
+        out.append("[]" if isinstance(obj, list) else "{}")
+    elif isinstance(obj, list):
+        inner = newline + "  "
+        out.append("[")
+        for item in obj:
+            out.append(inner)
+            _encode(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "]"  # the last comma becomes the closing line
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        out.append("{")
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
+            _encode(obj[key], out, inner)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"a {type(obj).__name__} has no canonical JSON form")
+
+
+_EXCLUSIVE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write ``path`` whole or not at all: ``data`` goes to ``<name>.<pid>.tmp``
+    beside it, opened exclusively with mode 0o666 less the umask, which is
+    then renamed onto ``path``.
+
+    The directory is made only when the open finds it missing. An existing
+    temporary file of that name is one a killed process with the same pid
+    left behind, so it is removed and the open repeated. A failed write
+    removes the temporary file and leaves ``path`` as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, _EXCLUSIVE, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, _EXCLUSIVE, 0o666)
+    except FileExistsError:
+        os.unlink(tmp)
+        fd = os.open(tmp, _EXCLUSIVE, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def store_certificate(payload: dict, directory) -> str:
     """Write a JSON payload content-addressed by its SHA-256; returns the hash.
 
-    The file appears under its hash name only once complete (written to a
-    temporary file, then renamed), and a stored file whose bytes do not
-    hash to its name, such as one torn by a crash, is written again.
+    The bytes are ``_canonical_json(payload)`` and a newline, stored as
+    ``<hash>.json`` through ``replace_file``: the file appears only once
+    complete and follows the umask. Every store writes the file again, so
+    a stored file torn by a crash is repaired by storing its payload.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    blob = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    blob = (_canonical_json(payload) + "\n").encode()
     digest = hashlib.sha256(blob).hexdigest()
-    path = directory / f"{digest}.json"
-    if not path.exists() or hashlib.sha256(path.read_bytes()).hexdigest() != digest:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=digest, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
+    replace_file(os.path.join(directory, f"{digest}.json"), blob)
     return digest
 
 
@@ -274,7 +348,9 @@ def verify_report_payload(data) -> bool:
     """Re-check a document written by ``render_report``, trusting nothing in it.
 
     A loop over ``verify_certificate_payload``: the bundle must close each
-    equation-class representative of the witness pair in turn, and
+    equation-class representative of the witness pair in turn (its length
+    is checked against ``equation_class_count`` before the O(p) listing of
+    the classes, so a huge ``p`` fails fast), and
     ``max_size`` must be the witness's size. A ``proven`` report must refute
     digit sets one digit larger, with all digits pinned, whose normal forms
     are ``orbit_count`` many distinct ones: one refuted member of every
@@ -292,8 +368,9 @@ def verify_report_payload(data) -> bool:
         if witness is None:
             return maximality == "not-attempted" and not refutations and data["max_size"] is None
         p, bundle, size = data["p"], witness["bundle"], len(set(witness["digits"]))
-        if [entry["b"] for entry in bundle] != list(equation_classes(p).representatives) \
-                or data["max_size"] != size:
+        claimed = [entry["b"] for entry in bundle]
+        if len(claimed) != equation_class_count(p) or data["max_size"] != size or \
+                claimed != list(equation_classes(p).representatives):
             return False
         context = {"p": p, "digits": witness["digits"], "fixed": witness["fixed"]}
         for entry in bundle:

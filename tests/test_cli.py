@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import stat
 import time
 
 import pytest
@@ -199,6 +202,17 @@ def test_cert_verify_rejects_a_tampered_report(tmp_path, capsys, report_p11, tam
     assert (code, out, err) == (1, "report FAILED\n", "")
 
 
+def test_cert_verify_refuses_a_report_at_a_huge_modulus_at_once(tmp_path, capsys, report_p11):
+    report = json.loads(report_p11)
+    report["p"] = 2 ** 31 - 1  # prime: listing its equation classes would take minutes
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(report))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert (code, out, err) == (1, "report FAILED\n", "")
+    assert time.monotonic() - t0 < 3.0
+
+
 @pytest.mark.parametrize("change", [
     {"witness": 5}, {"refutations": {}}, {"maximality": "maybe"}, {"bundle": [1]},
 ], ids=["witness-number", "refutations-object", "unknown-maximality", "bundle-of-numbers"])
@@ -339,6 +353,39 @@ def test_search_p7_cli(tmp_path, capsys):
     report = json.loads((tmp_path / "search_p7.json").read_text())
     assert report["max_size"] == 3 and report["maximality"] == "proven"
     assert (tmp_path / "search_p7.checkpoint.jsonl").exists()
+
+
+def test_search_report_and_certificates_follow_the_umask(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    finally:
+        os.umask(umask)
+    assert code == 0
+    certs = list((tmp_path / "certs").iterdir())
+    modes = {stat.S_IMODE(f.stat().st_mode) for f in [tmp_path / "search_p7.json", *certs]}
+    assert certs and modes == {0o666 & ~0o027}
+
+
+def test_a_search_report_write_that_fails_partway_keeps_the_previous_report(
+        tmp_path, capsys, monkeypatch):
+    code, _, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    report = tmp_path / "search_p7.json"
+    before = report.read_bytes()
+    write = os.write
+
+    def torn_write(fd, data):  # tears the report, not the certificates stored before it
+        if b'"maximality"' not in bytes(data):
+            return write(fd, data)
+        write(fd, bytes(data[:len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", torn_write)
+    code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7", "--lmax", "3")
+    monkeypatch.undo()
+    assert code == 2 and "No space left on device" in err
+    assert report.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("options", [

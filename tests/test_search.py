@@ -176,6 +176,27 @@ def test_store_certificate_repairs_a_torn_file(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == [path.name]  # no temporary left
 
 
+@pytest.mark.parametrize("leftover", ["file", "symlink"])
+def test_store_certificate_replaces_a_temporary_file_left_by_a_killed_process(tmp_path, leftover):
+    payload = {"p": 7, "digits": [0, 1, 2], "method": "cone"}
+    certs, elsewhere = tmp_path / "certs", tmp_path / "elsewhere"
+    digest = store_certificate(payload, certs)
+    stale = certs / f"{digest}.json.{os.getpid()}.tmp"  # same name, same pid
+    if leftover == "file":
+        stale.write_text("torn")
+    else:
+        stale.symlink_to(elsewhere)
+    assert store_certificate(payload, certs) == digest
+    assert [f.name for f in certs.iterdir()] == [f"{digest}.json"]
+    assert not elsewhere.exists()  # the write never follows a link
+
+
+@pytest.mark.parametrize("value", [0.5, (1, 2), {1: "a"}, b"x"])
+def test_canonical_json_refuses_what_a_proof_never_holds(value):
+    with pytest.raises(TypeError):
+        search._canonical_json({"entry": [value]})
+
+
 def test_sweep_deterministic_reports():
     a = render_report(max_admissible_size(7))
     b = render_report(max_admissible_size(7))
