@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ from .zp import (
     DigitSetPair,
     Prime,
     digit_pair,
-    equation_class_count,
     equation_classes,
     is_normal_form,
     make_line_equation,
@@ -256,16 +256,17 @@ _EXCLUSIVE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
 
 
 def replace_file(path, data: bytes) -> None:
-    """Write ``path`` whole or not at all: ``data`` goes to ``<name>.<pid>.tmp``
-    beside it, opened exclusively with mode 0o666 less the umask, which is
-    then renamed onto ``path``.
+    """Write ``path`` whole or not at all: ``data`` goes to a temporary file
+    ``<name>.<pid>.<thread>.tmp`` beside it, opened exclusively with mode
+    0o666 less the umask, which is then renamed onto ``path``.
 
-    The directory is made only when the open finds it missing. An existing
-    temporary file of that name is one a killed process with the same pid
-    left behind, so it is removed and the open repeated. A failed write
-    removes the temporary file and leaves ``path`` as it was.
+    The directory is made only when the open finds it missing. The name is
+    unique to the calling thread, so an existing temporary file of that name
+    is one a killed process with the same pid left behind: it is removed and
+    the open repeated. A failed write removes the temporary file and leaves
+    ``path`` as it was.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         fd = os.open(tmp, _EXCLUSIVE, 0o666)
     except FileNotFoundError:
@@ -291,13 +292,21 @@ def store_certificate(payload: dict, directory) -> str:
     """Write a JSON payload content-addressed by its SHA-256; returns the hash.
 
     The bytes are ``_canonical_json(payload)`` and a newline, stored as
-    ``<hash>.json`` through ``replace_file``: the file appears only once
-    complete and follows the umask. Every store writes the file again, so
-    a stored file torn by a crash is repaired by storing its payload.
+    ``<hash>.json``. A file already there with exactly those bytes is left
+    alone; a missing or different one, such as one torn by a crash, is
+    written through ``replace_file``, so it appears only once complete and
+    follows the umask.
     """
     blob = (_canonical_json(payload) + "\n").encode()
     digest = hashlib.sha256(blob).hexdigest()
-    replace_file(os.path.join(directory, f"{digest}.json"), blob)
+    path = os.path.join(directory, f"{digest}.json")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == blob:
+                return digest
+    except FileNotFoundError:
+        pass
+    replace_file(path, blob)
     return digest
 
 
@@ -348,9 +357,10 @@ def verify_report_payload(data) -> bool:
     """Re-check a document written by ``render_report``, trusting nothing in it.
 
     A loop over ``verify_certificate_payload``: the bundle must close each
-    equation-class representative of the witness pair in turn (its length
-    is checked against ``equation_class_count`` before the O(p) listing of
-    the classes, so a huge ``p`` fails fast), and
+    equation-class representative of the witness pair in turn (every class
+    has at most six of the p - 2 values of b, so a bundle shorter than
+    (p - 2) / 6 fails before the O(p) listing of the classes, which is
+    then proportional to the document), and
     ``max_size`` must be the witness's size. A ``proven`` report must refute
     digit sets one digit larger, with all digits pinned, whose normal forms
     are ``orbit_count`` many distinct ones: one refuted member of every
@@ -369,7 +379,7 @@ def verify_report_payload(data) -> bool:
             return maximality == "not-attempted" and not refutations and data["max_size"] is None
         p, bundle, size = data["p"], witness["bundle"], len(set(witness["digits"]))
         claimed = [entry["b"] for entry in bundle]
-        if len(claimed) != equation_class_count(p) or data["max_size"] != size or \
+        if p - 2 > 6 * len(claimed) or data["max_size"] != size or \
                 claimed != list(equation_classes(p).representatives):
             return False
         context = {"p": p, "digits": witness["digits"], "fixed": witness["fixed"]}

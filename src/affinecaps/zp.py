@@ -128,18 +128,6 @@ def equation_classes(p: int) -> EquationClassPartition:
     return EquationClassPartition(p, tuple(sorted(classes)))
 
 
-def equation_class_count(p: int) -> int:
-    """``len(equation_classes(p).classes)`` in closed form, without the O(p) loop.
-
-    The six moves act on b in 1..p-2 as a group. The class of 1 is
-    {1, -2, -1/2}; the roots of b^2 + b + 1, which exist when p = 1 mod 3,
-    have c = b^2 = 1/b and make a class of two; every other class has six
-    members. So p - 2 = 3 + 2e + 6(count - 1 - e) with e = [p = 1 mod 3].
-    """
-    p = Prime(p)
-    return (p + 1 + 4 * (p % 3 == 1)) // 6
-
-
 def affine_image(digits, a: int, b: int, p: int) -> tuple[int, ...]:
     """Sorted image of a digit set under x -> a*x + b (a must be a unit)."""
     if a % p == 0:

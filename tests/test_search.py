@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import random
+import threading
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -181,14 +182,26 @@ def test_store_certificate_replaces_a_temporary_file_left_by_a_killed_process(tm
     payload = {"p": 7, "digits": [0, 1, 2], "method": "cone"}
     certs, elsewhere = tmp_path / "certs", tmp_path / "elsewhere"
     digest = store_certificate(payload, certs)
-    stale = certs / f"{digest}.json.{os.getpid()}.tmp"  # same name, same pid
+    stored = certs / f"{digest}.json"
+    whole = stored.read_bytes()
+    stored.unlink()  # killed before its rename
+    stale = certs / f"{digest}.json.{os.getpid()}.{threading.get_ident()}.tmp"  # same name
     if leftover == "file":
         stale.write_text("torn")
     else:
         stale.symlink_to(elsewhere)
     assert store_certificate(payload, certs) == digest
-    assert [f.name for f in certs.iterdir()] == [f"{digest}.json"]
+    assert [f.name for f in certs.iterdir()] == [stored.name] and stored.read_bytes() == whole
     assert not elsewhere.exists()  # the write never follows a link
+
+
+def test_store_certificate_leaves_an_identical_file_alone(tmp_path):
+    payload = {"p": 7, "digits": [0, 1, 2], "method": "cone"}
+    digest = store_certificate(payload, tmp_path)
+    before = (tmp_path / f"{digest}.json").stat()
+    assert store_certificate(payload, tmp_path) == digest
+    after = (tmp_path / f"{digest}.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 @pytest.mark.parametrize("value", [0.5, (1, 2), {1: "a"}, b"x"])

@@ -12,7 +12,7 @@ from affinecaps import (
     make_line_equation,
     normalize_digit_set,
 )
-from affinecaps.zp import affine_image, equation_class_count, is_prime
+from affinecaps.zp import affine_image, is_prime
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
@@ -49,12 +49,6 @@ def test_line_equation_examples():
     for bad in (0, 4):  # p=5 allows only b in {1, 2, 3}
         with pytest.raises(ValueError):
             make_line_equation(5, bad)
-
-
-def test_equation_class_count_is_the_closed_form_of_the_classes():
-    for p in filter(is_prime, range(5, 400)):
-        assert equation_class_count(p) == len(equation_classes(p).classes), p
-    assert equation_class_count(2 ** 31 - 1) == (2 ** 31 + 4) // 6  # 2**31 - 1 = 1 mod 3
 
 
 def test_equation_class_golden_lists():
