@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zp import Prime, affine_image, gap_sequence, normalize_digit_set
+from .zp import Prime, _normal_forms, affine_image, gap_sequence, normalize_digit_set
 
 
 def difference_multiset(digits, p: int) -> tuple[int, ...]:
@@ -60,21 +60,28 @@ class Classification:
 
 
 def classify(digit_sets, p: int) -> Classification:
-    """Partition digit sets into affine-orbit classes by their fingerprints."""
+    """Partition digit sets into affine-orbit classes by their normal forms.
+
+    Two sets are affinely equivalent iff their normal forms are equal, and
+    the fingerprint is the gap sequence of the normal form, so the classes
+    are those of ``fingerprint``. The distinct sets are checked by their gap
+    multisets, then normalised in one ``zp._normal_forms`` call.
+    """
     p = Prime(p)
     sets = [tuple(sorted(set(d))) for d in digit_sets]
-    fps = {d: fingerprint(d, p) for d in set(sets)}
+    multisets = {d: difference_multiset(d, p) for d in sets}  # rejects non-residues
+    normal = _normal_forms(sets, p)
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for d in sets:
-        groups.setdefault(fps[d], []).append(d)
+        groups.setdefault(normal[d], []).append(d)
     classes = []
-    for fp, group in groups.items():
+    for representative, group in groups.items():
         members = tuple(dict.fromkeys(group))
         classes.append(OrbitClass(
-            representative=normalize_digit_set(members[0], p),
+            representative=representative,
             members=members,
-            fingerprint=fp,
-            gap_multisets=tuple(difference_multiset(m, p) for m in members),
+            fingerprint=gap_sequence(representative, p),
+            gap_multisets=tuple(multisets[m] for m in members),
         ))
     classes.sort(key=lambda cls: (cls.representative, cls.members))
     return Classification(p, tuple(classes))

@@ -18,12 +18,14 @@ import math
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .cone import (
     ConeCertificate,
@@ -45,11 +47,11 @@ from .reducibility import (
 from .zp import (
     DigitSetPair,
     Prime,
+    _least_images,
+    _normal_forms,
     digit_pair,
     equation_classes,
-    is_normal_form,
     make_line_equation,
-    normalize_digit_set,
     orbit_count,
 )
 
@@ -63,16 +65,19 @@ def candidates(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     form leaves a normal form, since an image of the rest that sorts below
     it would, with the image of the deleted digit added, sort below the
     whole set. So the level is the sets S + (m,), for S one level down and
-    m > max S, that are their own normal form. The sweep asks for the levels
-    in turn, so a cache of two builds each level once.
+    m > max S, that are their own least image, tested as one array (of the
+    smallest integer type that holds p) by ``zp._least_images``. The sweep
+    asks for the levels in turn, so a cache of two builds each level once.
     """
     p = Prime(p)
     if not 2 <= size <= p - 1:
         raise ValueError(f"size must lie in 2..{p - 1}, got {size}")
     if size == 2:
         return ((0, 1),)
-    return tuple(s + (m,) for s in candidates(p, size - 1) for m in range(s[-1] + 1, p)
-                 if is_normal_form(s + (m,), p))
+    below = np.array(candidates(p, size - 1), np.min_scalar_type(p))
+    s, m = np.nonzero(np.arange(p) > below[:, -1:])  # each S with each m > max S, in order
+    rows = np.column_stack((below[s], m.astype(below.dtype)))
+    return tuple(zip(*rows[_least_images(rows, p, test=True)].T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -368,16 +373,20 @@ def verify_report_payload(data) -> bool:
     are not compared with ``candidates``, so no generator is trusted. A
     ``not-attempted`` report lists no refutations, and a report without a
     witness claims nothing. Raises ValueError (or KeyError for a missing
-    field) when the document is malformed.
+    field) when the document is malformed, and so when a digit of the
+    witness or of a refutation is not an integer in [0, p): a bool or a
+    float must not pass for a digit.
     """
     try:
         maximality, refutations, witness = data["maximality"], data["refutations"], data["witness"]
         if maximality not in ("proven", "not-attempted") or not isinstance(refutations, list):
             raise ValueError("a report needs maximality proven or not-attempted "
                              "and a list of refutations")
+        p = data["p"]
+        refuted = [_report_digits(r["digits"], p) for r in refutations]
         if witness is None:
             return maximality == "not-attempted" and not refutations and data["max_size"] is None
-        p, bundle, size = data["p"], witness["bundle"], len(set(witness["digits"]))
+        bundle, size = witness["bundle"], len(_report_digits(witness["digits"], p))
         claimed = [entry["b"] for entry in bundle]
         if p - 2 > 6 * len(claimed) or data["max_size"] != size or \
                 claimed != list(equation_classes(p).representatives):
@@ -389,9 +398,8 @@ def verify_report_payload(data) -> bool:
                 return False
         if maximality == "not-attempted":
             return not refutations
-        if any(len(set(r["digits"])) != size + 1 for r in refutations) or \
-                len({normalize_digit_set(r["digits"], p) for r in refutations}) \
-                != orbit_count(p, size + 1):
+        if any(len(digits) != size + 1 for digits in refuted) or \
+                len(set(_normal_forms(refuted, p).values())) != orbit_count(p, size + 1):
             return False
         return all(verify_certificate_payload(
             {"p": p, "digits": r["digits"], "fixed": r["digits"], "b": r["b"], "method": "cone",
@@ -399,6 +407,15 @@ def verify_report_payload(data) -> bool:
             for r in refutations)
     except TypeError as exc:
         raise ValueError(f"malformed search report: {exc}") from exc
+
+
+def _report_digits(digits, p) -> tuple[int, ...]:
+    """The distinct digits of a report entry, ascending; raises ValueError unless
+    p is an int and ``digits`` a list of ints (not bools) in [0, p)."""
+    if type(p) is not int or not isinstance(digits, list) or \
+            not all(type(d) is int and 0 <= d < p for d in digits):
+        raise ValueError(f"report digits must be integers in [0, p), got {digits!r} for p={p!r}")
+    return tuple(sorted(set(digits)))
 
 
 def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
@@ -573,13 +590,40 @@ def _in_batches(pool, work, pending: list, window: int):
 
 
 def minimize_fixed_digits(digits, p: int) -> PairVerdict:
-    """Verdict for the smallest (then lexicographically least) admissible set of fixed digits."""
+    """Verdict for the smallest (then lexicographically least) admissible set of fixed digits.
+
+    A fixed set is skipped, not checked, when the witness of one refuted
+    before balances every digit of it: the witness then lies in that set's
+    cone too, so the set is refuted as well.
+    """
     digits = tuple(sorted(set(digits)))
     if not check_pair(digit_pair(p, digits)).admissible:
         raise ValueError(f"digit set {digits} is not admissible mod {p}")
+    balanced: list[set[int]] = []
     for size in range(len(digits) + 1):
         for fixed in combinations(digits, size):
-            verdict = check_pair(digit_pair(p, digits, fixed))
+            if any(b.issuperset(fixed) for b in balanced):
+                continue
+            pair = digit_pair(p, digits, fixed)
+            verdict = check_pair(pair)
             if verdict.admissible:
                 return verdict
+            balanced.append(_balanced_digits(pair, verdict.outcomes[-1]))
     raise AssertionError("unreachable: the full digit set is admissible")
+
+
+def _balanced_digits(pair: DigitSetPair, refuting: RepOutcome) -> set[int]:
+    """The digits whose two balances under the refuting witness are 0: its weighted
+    count at position 1 minus that at position 2, and minus that at position 3.
+
+    The progressions, and so the witness's coordinates, depend on the digits
+    and the equation alone, not on the fixed digits.
+    """
+    table = enumerate_progressions(pair, make_line_equation(pair.p, refuting.b))
+    second, third = Counter(), Counter()
+    for (x, y, z), w in zip(table.rows, refuting.proof.witness):
+        second[x] += w
+        second[y] -= w
+        third[x] += w
+        third[z] -= w
+    return {d for d in pair.digits if not second[d] and not third[d]}

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 
+import numpy as np
+
 
 # Every modulus lies below this bound: trial division then takes at most
 # about 23,000 steps, and a product of two residues fits in int64.
@@ -150,36 +152,92 @@ def gap_sequence(digits, p: int) -> tuple[int, ...]:
     return tuple(gaps)
 
 
-def _unit_images(digits: tuple[int, ...], p: int):
-    """Sorted images of the digit set under each map that sends one digit to 0 and
-    another to 1: x -> (x - u) / (v - u) for digits u != v."""
-    for u in digits:
-        for v in digits:
-            if v != u:
-                a = pow(v - u, -1, p)
-                yield tuple(sorted(a * (d - u) % p for d in digits))
+# Entries of the image array one chunk of rows may hold: 2**16 int64, 512 KiB.
+_CHUNK = 2 ** 16
+
+
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """a**(p - 2) mod p elementwise, the inverses of the units a mod p, by repeated
+    squaring; residues below 2**31 keep every product below 2**62."""
+    result, e = np.ones_like(a), p - 2
+    while e:
+        if e & 1:
+            result = result * a % p
+        a, e = a * a % p, e >> 1
+    return result
+
+
+def _lex_least(images: np.ndarray) -> np.ndarray:
+    """The lexicographically least row of each images[i], shape (c, m, k) -> (c, k),
+    picked column by column among the rows still tied; m >= 1."""
+    least = np.empty((images.shape[0], images.shape[2]), images.dtype)
+    tied = np.ones(images.shape[:2], bool)
+    for j in range(images.shape[2]):
+        column = np.where(tied, images[:, :, j], np.iinfo(images.dtype).max)
+        least[:, j] = low = column.min(axis=1)
+        tied &= column == low[:, None]
+    return least
+
+
+def _least_images(rows: np.ndarray, p: int, test: bool = False) -> np.ndarray:
+    """The least affine image of each row of a 2-D integer array of ascending
+    k-sets mod p, as int64, or with ``test`` whether each row is its own least
+    image.
+
+    Once k >= 2 some image holds 0 and 1, so the least one does, and it is
+    the least image under the k(k - 1) maps x -> (x - u) / (v - u) for
+    digits u != v, which send u to 0 and v to 1. The images are formed,
+    sorted along the last axis and the least picked. Rows are taken in
+    chunks and the digits u in groups, so an image array holds about
+    ``_CHUNK`` entries, and never more than k(k - 1) for one u.
+    """
+    n, k = rows.shape
+    out = np.empty(n, bool) if test else np.empty((n, k), np.int64)
+    maps = max(1, k * (k - 1))
+    step = max(1, _CHUNK // (maps * k))  # rows per chunk
+    group = max(1, _CHUNK // (step * maps))  # digits u per group: all k unless a row is large
+    for start in range(0, n, step):
+        chunk = rows[start:start + step].astype(np.int64)
+        least = np.zeros_like(chunk)  # one digit translates to 0
+        if k >= 2:
+            least[:, 1] = 1  # every image holds 0 and 1 and sorts them first
+            best = []
+            for first in range(0, k, group):
+                us = np.arange(first, min(first + group, k))
+                shifted = (chunk[:, None, :] - chunk[:, us, None]) % p  # [row, u, x] = x - u
+                scale = _inverses(shifted[:, us[:, None] != np.arange(k)], p)  # 1 / (v - u)
+                images = shifted[:, :, None, :] * scale.reshape(len(chunk), len(us), k - 1, 1) % p
+                images = images.reshape(len(chunk), -1, k)
+                images.sort(axis=-1)
+                best.append(_lex_least(images[:, :, 2:]))
+            least[:, 2:] = _lex_least(np.stack(best, axis=1))
+        out[start:start + step] = (least == chunk).all(axis=1) if test else least
+    return out
+
+
+def _normal_forms(sets, p: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The normal form of each of the ascending digit sets of residues mod p, by
+    one ``_least_images`` call per size."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for digits in set(sets):
+        by_size.setdefault(len(digits), []).append(digits)
+    forms = {}
+    for group in by_size.values():
+        least = _least_images(np.array(group, np.int64), p)
+        forms.update(zip(group, zip(*least.T.tolist())))
+    return forms
 
 
 def normalize_digit_set(digits, p: int) -> tuple[int, ...]:
-    """Lexicographically least affine image of the digit set.
+    """Lexicographically least affine image of the digit set: ``_least_images`` of one row.
 
-    Once |digits| >= 2 some image holds 0 and 1, so the least image does,
-    and it is the least image under the maps sending one digit to 0 and
-    another to 1: the k(k - 1) maps of ``_unit_images``, not all p(p - 1).
-    So canonical representatives can be enumerated among sets containing
-    both 0 and 1.
+    Once |digits| >= 2 the least image holds 0 and 1, so canonical
+    representatives can be enumerated among sets containing both.
     """
     p = Prime(p)
-    digits = tuple(sorted(set(digits)))
+    digits = sorted(set(digits))
     gap_sequence(digits, p)  # rejects an empty set and digits outside [0, p)
-    return min(_unit_images(digits, p), default=(0,))
-
-
-def is_normal_form(digits: tuple[int, ...], p: int) -> bool:
-    """Whether an ascending tuple of residues with at least two entries is its own
-    normal form, ``normalize_digit_set(digits, p) == digits``, stopping at the
-    first smaller image."""
-    return all(image >= digits for image in _unit_images(digits, p))
+    return tuple(_least_images(np.array([digits], np.int64), p)[0].tolist())
 
 
 def orbit_count(p: int, k: int) -> int:

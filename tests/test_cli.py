@@ -228,6 +228,18 @@ def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report
     assert code == 2 and not out and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("digit", [2.0, 2.5, "2", True, -3, 99],
+                         ids=["float", "fraction", "string", "boolean", "negative", "too-large"])
+def test_cert_verify_rejects_a_refuted_digit_that_is_no_residue(tmp_path, capsys, report_p11,
+                                                                 digit):
+    report = json.loads(report_p11)
+    report["refutations"][0]["digits"][-1] = digit
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert code == 2 and not out and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_with_an_empty_fixed_set_pins_nothing(tmp_path, capsys):
     # with nothing pinned the b=1 cone of this pair is nontrivial
     code, out, _ = run(capsys, "--format", "json", "--out", str(tmp_path), "check",
