@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

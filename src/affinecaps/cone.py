@@ -12,8 +12,8 @@ turn into a dual vector y with A^T y >= 1, which proves triviality by
 integer numpy tableau over one common denominator, pivoted by the
 fraction-free ``reducibility.pivot``, which works in int64 while the entries
 stay below 2**31 and in Python ints beyond. Bland's rule reads exact Python
-ints out of the tableau, and Fractions of Python ints appear only in the
-returned point or multipliers.
+ints out of the tableau, whose final integers hold both certificates, and
+Fractions of Python ints appear only in a returned dual.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class ConeCertificate:
 def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     """Feasibility of {A x = 0, sum(x) = 1, x >= 0}, A integer, by exact phase-one simplex.
 
-    Returns ("feasible", x) with x a rational point, or ("infeasible", y*)
-    with y* the optimal simplex multipliers (one per constraint row, the
-    normalization row last).
+    Returns (obj, x, det), integers over the common denominator det > 0: the
+    final objective row z_j - c_j (objective value last; infeasible iff
+    obj[-1] > 0) and the original variables at the final basis.
     """
     m = len(a_rows) + 1
     # integer tableau over the common denominator det; columns: n_cols
@@ -85,15 +85,11 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
         tab, det = pivot(tab, leave, enter, det)  # positive pivot keeps det > 0
         basis[leave] = enter
 
-    obj = tab[m].tolist()
-    if obj[-1] > 0:
-        multipliers = tuple(Fraction(obj[n_cols + i], det) + 1 for i in range(m))
-        return "infeasible", multipliers
-    x = [Fraction(0)] * n_cols
+    x = [0] * n_cols
     for var, value in zip(basis, tab[:m, -1].tolist()):
         if var < n_cols:
-            x[var] = Fraction(value, det)
-    return "feasible", tuple(x)
+            x[var] = value
+    return tab[m].tolist(), x, det
 
 
 def _col_sums(system: ConstraintSystem, y: Sequence[int]) -> list[int]:
@@ -102,25 +98,29 @@ def _col_sums(system: ConstraintSystem, y: Sequence[int]) -> list[int]:
             for j in range(system.n_cols)]
 
 
+def _row_sums(system: ConstraintSystem, x: Sequence[int]) -> list[int]:
+    """The integer vector A x."""
+    return [sum(a * v for a, v in zip(row, x)) for row in system.matrix]
+
+
 def cone_trivial(system: ConstraintSystem) -> ConeCertificate:
     """Decide triviality of {x >= 0 : A x = 0} and return a certificate.
 
-    The dual is -u / t for the multipliers u of the constraint rows and t > 0
-    of the normalization row, scaled to make min(A^T y) = 1; that is Y / s
-    for the integers Y = -u * lcm(denominators of u) and s = min(A^T Y).
+    Both are read off the final tableau: the witness is the feasible point
+    over its gcd, the dual -u / s for u_i = r_i + det the numerator of the
+    multiplier of row i, r_i the reduced cost of artificial i, and t that of
+    the normalization row. Column j's reduced cost is r_j = u . a_j + t, so
+    A^T (-u) = t - r_j >= t > 0, and s = t - max r_j makes min(A^T y) = 1.
     """
-    status, vec = _phase_one(system.matrix, system.n_cols)
-    if status == "infeasible":
-        *u, t = vec
+    n = system.n_cols
+    obj, x, det = _phase_one(system.matrix, n)
+    if obj[-1] > 0:
+        *u, t = (r + det for r in obj[n:-1])
         assert t > 0
-        if not system.n_cols:
-            return ConeCertificate("trivial", dual=tuple(-v / t for v in u))
-        y, _ = clear_denominators([-v for v in u])
-        s = min(_col_sums(system, y))
-        return ConeCertificate("trivial", dual=tuple(Fraction(v, s) for v in y))
-    ints, _ = clear_denominators(vec)
-    g = math.gcd(*ints)
-    return ConeCertificate("nontrivial", witness=tuple(v // g for v in ints))
+        s = t - max(obj[:n], default=0)
+        return ConeCertificate("trivial", dual=tuple(Fraction(-v, s) for v in u))
+    g = math.gcd(*x)
+    return ConeCertificate("nontrivial", witness=tuple(v // g for v in x))
 
 
 def verify_certificate(system: ConstraintSystem, cert: ConeCertificate) -> bool:
@@ -140,10 +140,7 @@ def verify_certificate(system: ConstraintSystem, cert: ConeCertificate) -> bool:
         w = cert.witness
         if any(v < 0 for v in w) or not any(v > 0 for v in w):
             return False
-        return all(
-            sum(system.matrix[i][j] * w[j] for j in range(system.n_cols)) == 0
-            for i in range(system.n_rows)
-        )
+        return not any(_row_sums(system, w))
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 

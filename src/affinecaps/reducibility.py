@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .progressions import ConstraintSystem, Triple, enumerate_progressions
+from .progressions import ConstraintSystem, ProgressionTable, Triple, enumerate_progressions
 from .zp import DigitSetPair, LineEquation
 
 
@@ -79,14 +79,14 @@ def _fire_digit(remaining: Sequence[Triple], position: int, digit: int):
     return removed, [t for t in remaining if digit not in t]
 
 
-def digit_reduce(pair: DigitSetPair, eq: LineEquation) -> ReductionTrace:
-    """Run the digit rule to a fixpoint for one equation.
+def digit_reduce(table: ProgressionTable) -> ReductionTrace:
+    """Run the digit rule to a fixpoint on the progressions of one equation.
 
     Fires the first applicable (position, digit), position outer 1..3 and
-    digits ascending, then restarts the scan.
+    fixed digits ascending, then restarts the scan.
     """
-    remaining = list(enumerate_progressions(pair, eq).rows)
-    order = [(r, d) for r in (1, 2, 3) for d in pair.fixed]
+    remaining = list(table.rows)
+    order = [(r, d) for r in (1, 2, 3) for d in table.pair.fixed]
     steps: list[DigitStep] = []
     while remaining:
         fired = next(((r, d, f) for r, d in order

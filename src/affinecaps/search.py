@@ -18,7 +18,7 @@ import math
 import os
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, islice
@@ -29,6 +29,7 @@ import numpy as np
 
 from .cone import (
     ConeCertificate,
+    _row_sums,
     certificate_from_jsonable,
     certificate_to_jsonable,
     cone_trivial,
@@ -65,8 +66,8 @@ def candidates(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     form leaves a normal form, since an image of the rest that sorts below
     it would, with the image of the deleted digit added, sort below the
     whole set. So the level is the sets S + (m,), for S one level down and
-    m > max S, that are their own least image, tested as one array (of the
-    smallest integer type that holds p) by ``zp._least_images``. The sweep
+    m > max S, that equal their least image, which ``zp._least_images`` forms
+    for the whole array (of the smallest integer type that holds p). The sweep
     asks for the levels in turn, so a cache of two builds each level once.
     """
     p = Prime(p)
@@ -77,7 +78,7 @@ def candidates(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     below = np.array(candidates(p, size - 1), np.min_scalar_type(p))
     s, m = np.nonzero(np.arange(p) > below[:, -1:])  # each S with each m > max S, in order
     rows = np.column_stack((below[s], m.astype(below.dtype)))
-    return tuple(zip(*rows[_least_images(rows, p, test=True)].T.tolist()))
+    return tuple(zip(*rows[(_least_images(rows, p) == rows).all(axis=1)].T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,10 @@ def check_pair(pair: DigitSetPair) -> PairVerdict:
     """
     outcomes = []
     for b in equation_classes(pair.p).representatives:
-        eq = make_line_equation(pair.p, b)
-        proof = digit_reduce(pair, eq)
+        table = enumerate_progressions(pair, make_line_equation(pair.p, b))
+        proof = digit_reduce(table)
         if not proof.reduced:
-            system = build_constraint_system(enumerate_progressions(pair, eq))
+            system = build_constraint_system(table)
             proof = cone_trivial(system)
             if proof.trivial:
                 trace = matrix_reduce(system)
@@ -373,16 +374,20 @@ def verify_report_payload(data) -> bool:
     are not compared with ``candidates``, so no generator is trusted. A
     ``not-attempted`` report lists no refutations, and a report without a
     witness claims nothing. Raises ValueError (or KeyError for a missing
-    field) when the document is malformed, and so when a digit of the
-    witness or of a refutation is not an integer in [0, p): a bool or a
-    float must not pass for a digit.
+    field) when the document is malformed: first when p is not a JSON
+    integer that ``Prime`` accepts, and when a digit of the witness or of a
+    refutation is not an integer in [0, p): a bool or a float must not pass
+    for a digit.
     """
     try:
+        p = data["p"]
+        if type(p) is not int:
+            raise ValueError(f"report field 'p' must be a JSON integer, got {p!r}")
+        Prime(p)
         maximality, refutations, witness = data["maximality"], data["refutations"], data["witness"]
         if maximality not in ("proven", "not-attempted") or not isinstance(refutations, list):
             raise ValueError("a report needs maximality proven or not-attempted "
                              "and a list of refutations")
-        p = data["p"]
         refuted = [_report_digits(r["digits"], p) for r in refutations]
         if witness is None:
             return maximality == "not-attempted" and not refutations and data["max_size"] is None
@@ -411,9 +416,8 @@ def verify_report_payload(data) -> bool:
 
 def _report_digits(digits, p) -> tuple[int, ...]:
     """The distinct digits of a report entry, ascending; raises ValueError unless
-    p is an int and ``digits`` a list of ints (not bools) in [0, p)."""
-    if type(p) is not int or not isinstance(digits, list) or \
-            not all(type(d) is int and 0 <= d < p for d in digits):
+    ``digits`` is a list of ints (not bools) in [0, p)."""
+    if not isinstance(digits, list) or not all(type(d) is int and 0 <= d < p for d in digits):
         raise ValueError(f"report digits must be integers in [0, p), got {digits!r} for p={p!r}")
     return tuple(sorted(set(digits)))
 
@@ -445,7 +449,8 @@ class _Checkpoint:
     record without ``"p"`` (the earlier format) is read as one mod ``p``.
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
-    candidate is checked again. Any other unparseable line is an error.
+    candidate is checked again. Any other line that is not a JSON object
+    with a size and digits is refused with a ValueError naming the file.
     """
 
     def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
@@ -455,13 +460,19 @@ class _Checkpoint:
         if self.path and self.path.exists():
             data = self.path.read_bytes()
             complete = data.rfind(b"\n") + 1
-            for line in data[:complete].decode().splitlines():
+            for number, line in enumerate(data[:complete].decode().splitlines(), 1):
                 if line.strip():
-                    rec = json.loads(line)
-                    if rec.get("p", p) != p:
+                    try:
+                        rec = json.loads(line)
+                        modulus = rec.get("p", p)
+                        self.records[(rec["size"], tuple(rec["digits"]))] = rec
+                    except (ValueError, KeyError, TypeError, AttributeError,
+                            RecursionError) as exc:
+                        raise ValueError(f"checkpoint {self.path} line {number} is not a "
+                                         f"verdict record: {exc!r:.200}") from exc
+                    if modulus != p:
                         raise ValueError(f"checkpoint {self.path} holds a verdict mod "
-                                         f"{rec['p']}, not mod {p}")
-                    self.records[(rec["size"], tuple(rec["digits"]))] = rec
+                                         f"{modulus}, not mod {p}")
             if complete < len(data):
                 os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None
@@ -613,17 +624,14 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
 
 
 def _balanced_digits(pair: DigitSetPair, refuting: RepOutcome) -> set[int]:
-    """The digits whose two balances under the refuting witness are 0: its weighted
-    count at position 1 minus that at position 2, and minus that at position 3.
+    """The digits whose two balance rows, (2, d) and (3, d) of the all-pinned
+    system, are 0 at the refuting witness.
 
     The progressions, and so the witness's coordinates, depend on the digits
     and the equation alone, not on the fixed digits.
     """
-    table = enumerate_progressions(pair, make_line_equation(pair.p, refuting.b))
-    second, third = Counter(), Counter()
-    for (x, y, z), w in zip(table.rows, refuting.proof.witness):
-        second[x] += w
-        second[y] -= w
-        third[x] += w
-        third[z] -= w
-    return {d for d in pair.digits if not second[d] and not third[d]}
+    system = build_constraint_system(enumerate_progressions(
+        digit_pair(pair.p, pair.digits), make_line_equation(pair.p, refuting.b)))
+    unbalanced = {d for (_, d), v in zip(system.row_labels,
+                                         _row_sums(system, refuting.proof.witness)) if v}
+    return set(pair.digits) - unbalanced

@@ -179,10 +179,9 @@ def _lex_least(images: np.ndarray) -> np.ndarray:
     return least
 
 
-def _least_images(rows: np.ndarray, p: int, test: bool = False) -> np.ndarray:
+def _least_images(rows: np.ndarray, p: int) -> np.ndarray:
     """The least affine image of each row of a 2-D integer array of ascending
-    k-sets mod p, as int64, or with ``test`` whether each row is its own least
-    image.
+    k-sets mod p, as int64.
 
     Once k >= 2 some image holds 0 and 1, so the least one does, and it is
     the least image under the k(k - 1) maps x -> (x - u) / (v - u) for
@@ -192,7 +191,7 @@ def _least_images(rows: np.ndarray, p: int, test: bool = False) -> np.ndarray:
     ``_CHUNK`` entries, and never more than k(k - 1) for one u.
     """
     n, k = rows.shape
-    out = np.empty(n, bool) if test else np.empty((n, k), np.int64)
+    out = np.empty((n, k), np.int64)
     maps = max(1, k * (k - 1))
     step = max(1, _CHUNK // (maps * k))  # rows per chunk
     group = max(1, _CHUNK // (step * maps))  # digits u per group: all k unless a row is large
@@ -211,7 +210,7 @@ def _least_images(rows: np.ndarray, p: int, test: bool = False) -> np.ndarray:
                 images.sort(axis=-1)
                 best.append(_lex_least(images[:, :, 2:]))
             least[:, 2:] = _lex_least(np.stack(best, axis=1))
-        out[start:start + step] = (least == chunk).all(axis=1) if test else least
+        out[start:start + step] = least
     return out
 
 

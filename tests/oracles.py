@@ -48,7 +48,8 @@ It raises ``InstanceTooLarge`` past ``ENUMERATION_GUARD`` box points.
 phase-one simplex carried out over ``Fraction`` entries, one division per
 pivot. They are the references for the fraction-free integer kernel of the
 package (``reducibility.rref``, ``cone._phase_one``), which must reproduce
-them exactly: the same echelon form, and the same status and vector.
+them exactly: the same echelon form, and the same status and vector once
+the integers of ``_phase_one`` are divided by its denominator.
 
 ``recomputing_matrix_reduce`` is the matrix rule that recomputes the echelon
 form of the surviving columns with ``fraction_rref`` after every firing, the
@@ -125,7 +126,7 @@ def _system(pair, b):
 
 
 def _digit_closes(pair, b) -> bool:
-    return digit_reduce(pair, make_line_equation(pair.p, b)).reduced
+    return digit_reduce(enumerate_progressions(pair, make_line_equation(pair.p, b))).reduced
 
 
 def cone_certificates(pair):
@@ -156,7 +157,7 @@ def matrix_first_check_pair(pair) -> PairVerdict:
     """Digit rule, then matrix rule, then cone per representative; stops at a refutation."""
     outcomes = []
     for b in equation_classes(pair.p).representatives:
-        proof = digit_reduce(pair, make_line_equation(pair.p, b))
+        proof = digit_reduce(enumerate_progressions(pair, make_line_equation(pair.p, b)))
         if not proof.reduced:
             system = _system(pair, b)
             proof = matrix_reduce(system)
@@ -243,8 +244,9 @@ def fraction_rref(matrix) -> list[list[Fraction]]:
 def fraction_phase_one(a_rows, n_cols: int):
     """Phase-one simplex with Bland's rule over a Fraction tableau.
 
-    Same contract as ``cone._phase_one``: ("feasible", x) or
-    ("infeasible", simplex multipliers, normalization row last).
+    Returns ("feasible", x) or ("infeasible", simplex multipliers,
+    normalization row last), the Fractions that ``cone._phase_one`` holds
+    as integers over one denominator.
     """
     m = len(a_rows) + 1
     tab = [[Fraction(v) for v in row] + [Fraction(0)] * (m + 1) for row in a_rows]

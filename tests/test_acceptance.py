@@ -261,9 +261,9 @@ def test_criterion_09_cross_module_implications():
         pair = digit_pair(p, digits, fixed)
         verdicts = cone_certificates(pair)
         for b in equation_classes(p).representatives:
-            eq = make_line_equation(p, b)
-            system = build_constraint_system(enumerate_progressions(pair, eq))
-            if digit_reduce(pair, eq).reduced or matrix_reduce(system).reduced:
+            table = enumerate_progressions(pair, make_line_equation(p, b))
+            system = build_constraint_system(table)
+            if digit_reduce(table).reduced or matrix_reduce(system).reduced:
                 assert verdicts[b].trivial, (pair, b)
         if all(c.trivial for c in verdicts.values()):
             if len(fixed) < len(digits):

@@ -213,9 +213,14 @@ def test_cert_verify_refuses_a_report_at_a_huge_modulus_at_once(tmp_path, capsys
     assert time.monotonic() - t0 < 3.0
 
 
+NO_WITNESS = {"witness": None, "max_size": None, "maximality": "not-attempted", "refutations": []}
+
+
 @pytest.mark.parametrize("change", [
     {"witness": 5}, {"refutations": {}}, {"maximality": "maybe"}, {"bundle": [1]},
-], ids=["witness-number", "refutations-object", "unknown-maximality", "bundle-of-numbers"])
+    {"p": 4, **NO_WITNESS}, {"p": 1, **NO_WITNESS}, {"p": 4}, {"p": 10 ** 30}, {"p": "11"},
+], ids=["witness-number", "refutations-object", "unknown-maximality", "bundle-of-numbers",
+        "p-4-without-witness", "p-1-without-witness", "p-4", "p-10**30", "p-string"])
 def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report_p11, change):
     report = json.loads(report_p11)
     if "bundle" in change:
@@ -226,6 +231,16 @@ def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report
     path.write_text(json.dumps(report))
     code, out, err = run(capsys, "cert-verify", str(path))
     assert code == 2 and not out and err.startswith("error: ") and "Traceback" not in err
+
+
+DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit of the JSON decoder
+
+
+def test_cert_verify_of_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert code == 2 and not out and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("digit", [2.0, 2.5, "2", True, -3, 99],
@@ -494,6 +509,19 @@ def test_search_rejects_a_corrupt_checkpoint_line_before_the_last(tmp_path, caps
     ckpt.write_text("".join(lines[:1] + ["{torn\n"] + lines[1:]))
     code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("record", [
+    "[1]", '"str"', '{"p": 7, "size": [2], "digits": [0, 1], "admissible": true}',
+    '{"p": 7, "size": 2, "digits": 5, "admissible": true}', DEEP,
+], ids=["list", "string", "list-size", "number-digits", "deeply-nested"])
+def test_search_refuses_a_malformed_checkpoint_record(tmp_path, capsys, record):
+    run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    ckpt = tmp_path / "search_p7.checkpoint.jsonl"
+    ckpt.write_text(record + "\n" + ckpt.read_text())
+    code, out, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith(f"error: checkpoint {ckpt} line 1 ")
 
 
 def test_search_refuses_a_checkpoint_of_another_modulus(tmp_path, capsys):

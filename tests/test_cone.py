@@ -66,6 +66,15 @@ def test_verify_rejects_bad_witness():
         verify_certificate(system, ConeCertificate("nontrivial", witness=(1, 0, 0)))
     with pytest.raises(ValueError):
         verify_certificate(system, ConeCertificate("trivial", dual=(Fraction(1), Fraction(1))))
+    # with no fixed digit there are columns but no rows, and the cone is the
+    # whole orthant: no dual proves it trivial, the empty one included
+    unpinned = system_for(11, (0, 1, 3, 4, 5), (), 9)
+    assert unpinned.n_rows == 0 < unpinned.n_cols
+    assert not verify_certificate(unpinned, ConeCertificate("trivial", dual=()))
+    with pytest.raises(ValueError):
+        verify_certificate(unpinned, ConeCertificate("trivial", dual=(Fraction(1),)))
+    cert = cone_trivial(unpinned)
+    assert not cert.trivial and verify_certificate(unpinned, cert)
 
 
 def test_p23_published_pair_admissible_with_four_certificates():
@@ -180,9 +189,9 @@ def test_reducibility_implies_cone_trivial():
     seen = set()
     for pair in pipeline_pairs():
         for b in equation_classes(pair.p).representatives:
-            eq = make_line_equation(pair.p, b)
-            system = build_constraint_system(enumerate_progressions(pair, eq))
-            reduced = digit_reduce(pair, eq).reduced or matrix_reduce(system).reduced
+            table = enumerate_progressions(pair, make_line_equation(pair.p, b))
+            system = build_constraint_system(table)
+            reduced = digit_reduce(table).reduced or matrix_reduce(system).reduced
             seen.add((reduced, cone_trivial(system).trivial))
     # never reduced on a nontrivial cone; every other combination occurs
     assert seen == {(True, True), (False, True), (False, False)}

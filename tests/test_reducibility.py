@@ -30,7 +30,7 @@ def pair_for(p):
 
 def test_digit_trace_p11():
     pair = pair_for(11)
-    trace = digit_reduce(pair, make_line_equation(11, 9))
+    trace = digit_reduce(enumerate_progressions(pair, make_line_equation(11, 9)))
     assert trace.reduced
     fired = [(s.position, s.digit, set(s.removed)) for s in trace.steps]
     assert fired == [
@@ -41,7 +41,7 @@ def test_digit_trace_p11():
 
 def test_digit_trace_p17_prefix():
     pair = pair_for(17)
-    trace = digit_reduce(pair, make_line_equation(17, 14))
+    trace = digit_reduce(enumerate_progressions(pair, make_line_equation(17, 14)))
     assert trace.reduced
     fired = [(s.position, s.digit) for s in trace.steps]
     assert fired[:3] == [(1, 0), (2, 8), (2, 4)]
@@ -49,7 +49,7 @@ def test_digit_trace_p17_prefix():
 
 def test_empty_table_reduces_trivially():
     pair = digit_pair(5, (0, 1))
-    trace = digit_reduce(pair, make_line_equation(5, 1))
+    trace = digit_reduce(enumerate_progressions(pair, make_line_equation(5, 1)))
     assert trace.reduced and not trace.steps
 
 
@@ -136,7 +136,7 @@ def test_trace_replay_digit_and_matrix():
         pair = digit_pair(p, digits, fixed)
         b = rng.randint(1, p - 2)
         eq = make_line_equation(p, b)
-        dtrace = digit_reduce(pair, eq)
+        dtrace = digit_reduce(enumerate_progressions(pair, eq))
         assert verify_digit_trace(pair, eq, dtrace)
         system = build_constraint_system(enumerate_progressions(pair, eq))
         mtrace = matrix_reduce(system)
@@ -146,7 +146,7 @@ def test_trace_replay_digit_and_matrix():
 def test_tampered_traces_fail_replay():
     pair = pair_for(11)
     eq = make_line_equation(11, 9)
-    trace = digit_reduce(pair, eq)
+    trace = digit_reduce(enumerate_progressions(pair, eq))
     from affinecaps.reducibility import DigitStep, ReductionTrace
 
     wrong_digit = ReductionTrace(
@@ -182,7 +182,7 @@ def test_digit_verdict_is_scan_order_independent():
         pair = digit_pair(p, digits, fixed)
         b = rng.randint(1, p - 2)
         eq = make_line_equation(p, b)
-        base = digit_reduce(pair, eq).reduced
+        base = digit_reduce(enumerate_progressions(pair, eq)).reduced
         order = [(r, d) for r in (1, 2, 3) for d in fixed]
         for _ in range(3):
             rng.shuffle(order)

@@ -93,6 +93,21 @@ def test_the_matrix_rule_runs_only_on_a_trivial_cone(monkeypatch):
     assert len(results["matrix_reduce"]) == trivial == 2
 
 
+def test_check_pair_enumerates_the_progressions_once_per_representative(monkeypatch):
+    results = record_results(monkeypatch, "enumerate_progressions", "build_constraint_system")
+    pairs = [digit_pair(p, digits, fixed) for p, (digits, fixed) in G.PUBLISHED_PAIRS.items()]
+    for pair in pairs + [digit_pair(13, (0, 1, 2, 3, 4))]:
+        for calls in results.values():
+            calls.clear()
+        verdict = check_pair(pair)
+        tables = results["enumerate_progressions"]
+        assert len(tables) == len(verdict.outcomes)
+        # the cone and matrix rules see the very table the digit rule reduced
+        assert all(any(system.column_labels is table.rows for table in tables)
+                   for system in results["build_constraint_system"])
+    assert not verdict.admissible and results["build_constraint_system"]
+
+
 def test_check_pair_inadmissible_short_circuits_with_witness():
     verdict = check_pair(digit_pair(13, (0, 1, 2, 3, 4)))
     assert not verdict.admissible
