@@ -26,7 +26,6 @@ from .equivalence import classification_to_jsonable, classify
 from .progressions import enumerate_progressions, table_to_jsonable
 from .reducibility import ReductionTrace, render_trace
 from .search import (
-    SearchBudget,
     certificate_payload,
     check_pair,
     max_admissible_size,
@@ -120,16 +119,15 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     out = _outdir(args)
-    budget = SearchBudget(max_seconds=args.budget_seconds,
-                          max_candidates=args.budget_candidates)
     report = max_admissible_size(
         args.p,
-        budget=budget,
         checkpoint_path=out / f"search_p{args.p}.checkpoint.jsonl",
         workers=args.workers,
         cert_dir=out / "certs",
         min_size=args.lmin,
         max_size=args.lmax,
+        max_seconds=args.budget_seconds,
+        max_candidates=args.budget_candidates,
     )
     report_path = out / f"search_p{args.p}.json"
     replace_file(report_path, render_report(report).encode())
@@ -251,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="find the maximal admissible digit-set size")
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--lmin", type=int, default=2, help="smallest digit-set size to try")
-    sp.add_argument("--lmax", type=int, default=None, help="largest digit-set size to try")
-    sp.add_argument("--budget-seconds", type=float, default=None)
-    sp.add_argument("--budget-candidates", type=int, default=None)
+    sp.add_argument("--lmax", type=int, default=math.inf, help="largest digit-set size to try")
+    sp.add_argument("--budget-seconds", type=float, default=math.inf)
+    sp.add_argument("--budget-candidates", type=int, default=math.inf)
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_search)
 
@@ -289,7 +287,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, OSError, KeyError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        missing = "missing field " if isinstance(exc, KeyError) else ""  # from a JSON document
+        print(f"error: {missing}{exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -164,12 +164,6 @@ class Refutation:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    max_seconds: float | None = None
-    max_candidates: int | None = None
-
-
-@dataclass(frozen=True)
 class SearchReport:
     """``witness`` is the verdict of the largest admissible digit set found,
     with its fewest fixed digits; None when none was found."""
@@ -450,7 +444,9 @@ class _Checkpoint:
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
     candidate is checked again. Any other line that is not a JSON object
-    with a size and digits is refused with a ValueError naming the file.
+    with a size, digits and a JSON boolean ``"admissible"``, and if that is
+    false an integer ``"refuted_b"`` and a list of strings as ``"witness"``,
+    is refused with a ValueError naming the file and the line.
     """
 
     def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
@@ -464,7 +460,13 @@ class _Checkpoint:
                 if line.strip():
                     try:
                         rec = json.loads(line)
-                        modulus = rec.get("p", p)
+                        modulus, admissible = rec.get("p", p), rec["admissible"]
+                        if type(admissible) is not bool or not admissible and (
+                                type(rec["refuted_b"]) is not int
+                                or type(rec["witness"]) is not list
+                                or not all(type(v) is str for v in rec["witness"])):
+                            raise ValueError("admissible is not a JSON boolean, or a refutation "
+                                             "lacks an int refuted_b or a list of str witness")
                         self.records[(rec["size"], tuple(rec["digits"]))] = rec
                     except (ValueError, KeyError, TypeError, AttributeError,
                             RecursionError) as exc:
@@ -516,12 +518,14 @@ class _Checkpoint:
 
 def max_admissible_size(
     p: int,
-    budget: SearchBudget | None = None,
+    *,
     checkpoint_path=None,
     workers: int = 1,
     cert_dir=None,
     min_size: int = 2,
-    max_size: int | None = None,
+    max_size: float = math.inf,
+    max_seconds: float = math.inf,
+    max_candidates: float = math.inf,
 ) -> SearchReport:
     """Find the largest admissible digit-set size and prove its maximality.
 
@@ -530,15 +534,17 @@ def max_admissible_size(
     refutes every candidate, which is the maximality proof for size - 1.
     The first admissible normal form is the first admissible set containing
     0 and 1, since its normal form sorts no higher and also holds 0 and 1.
-    The budget counts the candidates checked in this run, not the verdicts
-    read back from the checkpoint; ``candidates_examined`` counts both.
+    The bounds after ``p`` are keywords only, and ``math.inf``, their
+    default, means no bound. The budget, ``max_seconds`` and
+    ``max_candidates``, counts the candidates checked in this run, not the
+    verdicts read back from the checkpoint; ``candidates_examined`` counts both.
     An exceeded budget yields a partial report (maximality not attempted),
     never an unproven claim; the same holds when the sweep is capped by
     ``max_size`` before reaching a fully refuted level, and when the
     first level it sweeps is already fully refuted. A ``max_size``
     above p - 1 is lowered to p - 1, and ``workers`` above the CPU count
     to that count; ``min_size`` outside 2..p-1, a ``max_size`` below
-    ``min_size``, fewer than one worker, a negative budget and a
+    ``min_size`` or NaN, fewer than one worker, a negative or NaN budget and a
     checkpoint holding verdicts of another modulus raise ValueError
     before any work starts. ``cert_dir`` receives the certificates of the
     witness bundle; the refutations live in the report, which
@@ -547,22 +553,19 @@ def max_admissible_size(
     p = Prime(p)
     if not 2 <= min_size <= p - 1:
         raise ValueError(f"min_size must lie in 2..{p - 1}, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise ValueError(f"max_size {max_size} is below min_size {min_size}")
+    if not max_size >= min_size:  # NaN fails too
+        raise ValueError(f"max_size must be at least min_size {min_size}, got {max_size}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    budget = budget or SearchBudget()
-    for name, limit in (("seconds", budget.max_seconds), ("candidates", budget.max_candidates)):
-        if limit is not None and not limit >= 0:  # NaN fails too
+    for name, limit in (("seconds", max_seconds), ("candidates", max_candidates)):
+        if not limit >= 0:  # NaN fails too
             raise ValueError(f"the {name} budget must not be negative, got {limit}")
-    top = p - 1 if max_size is None else min(max_size, p - 1)
-    deadline = time.monotonic() + (math.inf if budget.max_seconds is None else budget.max_seconds)
-    most = math.inf if budget.max_candidates is None else budget.max_candidates
-    ckpt = _Checkpoint(checkpoint_path, int(p), workers, most, deadline)
+    ckpt = _Checkpoint(checkpoint_path, int(p), workers, max_candidates,
+                       time.monotonic() + max_seconds)
     examined, best, refuted = 0, None, []
     try:
-        for size in range(min_size, top + 1):
+        for size in range(min_size, min(max_size, p - 1) + 1):
             level = []
             for rec in ckpt.level(size):
                 examined += 1

@@ -233,6 +233,17 @@ def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report
     assert code == 2 and not out and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("document, field", [
+    ({"maximality": "proven"}, "p"),
+    ({k: v for k, v in P11_B1_CERT.items() if k != "method"}, "method"),
+])
+def test_cert_verify_names_a_missing_field(tmp_path, capsys, document, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert code == 2 and not out and err == f"error: missing field {field!r}\n"
+
+
 DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit of the JSON decoder
 
 
@@ -511,10 +522,22 @@ def test_search_rejects_a_corrupt_checkpoint_line_before_the_last(tmp_path, caps
     assert code == 2 and err.startswith("error: ")
 
 
+REFUTED = '{"p": 7, "size": 4, "digits": [0, 1, 2, 3], '
+
+
 @pytest.mark.parametrize("record", [
     "[1]", '"str"', '{"p": 7, "size": [2], "digits": [0, 1], "admissible": true}',
     '{"p": 7, "size": 2, "digits": 5, "admissible": true}', DEEP,
-], ids=["list", "string", "list-size", "number-digits", "deeply-nested"])
+    '{"p": 7, "size": 2, "digits": [0, 1]}',
+    REFUTED + '"admissible": "no", "refuted_b": 2, "witness": ["1", "1", "1"]}',
+    REFUTED + '"admissible": 0}',
+    REFUTED + '"admissible": false}',
+    REFUTED + '"admissible": false, "refuted_b": "2", "witness": ["1", "1", "1"]}',
+    REFUTED + '"admissible": false, "refuted_b": 2, "witness": "111"}',
+    REFUTED + '"admissible": false, "refuted_b": 2, "witness": [1, 1, 1]}',
+], ids=["list", "string", "list-size", "number-digits", "deeply-nested",
+        "no-verdict", "string-verdict", "number-verdict", "no-refuted-b", "string-refuted-b",
+        "string-witness", "number-witness-entries"])
 def test_search_refuses_a_malformed_checkpoint_record(tmp_path, capsys, record):
     run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     ckpt = tmp_path / "search_p7.checkpoint.jsonl"

@@ -24,7 +24,6 @@ from affinecaps import digit_pair, normalize_digit_set, search
 from affinecaps.cone import ConeCertificate
 from affinecaps.search import (
     RepOutcome,
-    SearchBudget,
     certificate_payload,
     check_pair,
     max_admissible_size,
@@ -229,7 +228,7 @@ def test_the_checkpoint_is_the_cert_named_one_without_its_names(tmp_path, monkey
 
 
 def assert_the_cut_resumes(checkpoint_path, p, budget, examined, workers, pinned):
-    cut = max_admissible_size(p, budget, checkpoint_path, workers)
+    cut = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers, **budget)
     lines = checkpoint_path.read_bytes().splitlines()
     assert len(lines) == cut.candidates_examined == examined
     report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers)
@@ -240,19 +239,19 @@ def assert_the_cut_resumes(checkpoint_path, p, budget, examined, workers, pinned
         assert cut.maximality == "not-attempted" and cut.refutations == ()
 
 
-# (p, budget, candidates examined): every candidate budget up to the whole p = 7
+# (p, budget keywords, candidates examined): every candidate budget up to the whole p = 7
 # sweep (4 candidates) and one past it; for p = 11, the first candidate, one
 # inside the final level, the last one of that level before the proof (the final
 # level holds candidates 5 to 10), and no time at all
-BUDGET_CUTS = ([(7, SearchBudget(max_candidates=k), min(k, 4)) for k in range(6)]
-               + [(11, SearchBudget(max_candidates=k), k) for k in (1, 7, 9)]
-               + [(11, SearchBudget(max_seconds=0), 0)])
+BUDGET_CUTS = ([(7, {"max_candidates": k}, min(k, 4)) for k in range(6)]
+               + [(11, {"max_candidates": k}, k) for k in (1, 7, 9)]
+               + [(11, {"max_seconds": 0}, 0)])
 
 # the same cuts of the full stream, which holds 12 candidates for p = 7 and 130
 # for p = 11, with the final level at candidates 5 to 130
-FULL_STREAM_BUDGET_CUTS = ([(7, SearchBudget(max_candidates=k), min(k, 12)) for k in range(14)]
-                           + [(11, SearchBudget(max_candidates=k), k) for k in (1, 64, 129)]
-                           + [(11, SearchBudget(max_seconds=0), 0)])
+FULL_STREAM_BUDGET_CUTS = ([(7, {"max_candidates": k}, min(k, 12)) for k in range(14)]
+                           + [(11, {"max_candidates": k}, k) for k in (1, 64, 129)]
+                           + [(11, {"max_seconds": 0}, 0)])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -279,10 +278,10 @@ def test_each_budgeted_run_checks_k_more_candidates(tmp_path, monkeypatch, strea
     pinned = (REPORT_SHA256 if stream == "orbits" else FULL_STREAM_REPORT_SHA256)[p]
     checkpoint_path = tmp_path / "budgeted.jsonl"
     for run in range(1, -(-total // k)):  # every run that the budget stops
-        cut = max_admissible_size(p, SearchBudget(max_candidates=k), checkpoint_path)
+        cut = max_admissible_size(p, checkpoint_path=checkpoint_path, max_candidates=k)
         assert len(checkpoint_path.read_bytes().splitlines()) == cut.candidates_examined \
             == run * k
         assert cut.budget_exhausted and cut.maximality == "not-attempted"
-    report = max_admissible_size(p, SearchBudget(max_candidates=k), checkpoint_path)
+    report = max_admissible_size(p, checkpoint_path=checkpoint_path, max_candidates=k)
     assert report.candidates_examined == total and not report.budget_exhausted
     assert sha256(render_report(report)) == pinned

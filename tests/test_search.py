@@ -13,7 +13,6 @@ from oracles import all_candidates, cone_admissible, matrix_first_check_pair
 from traffic import pipeline_pairs
 from affinecaps import digit_pair, normalize_digit_set, search
 from affinecaps.search import (
-    SearchBudget,
     candidates,
     check_pair,
     max_admissible_size,
@@ -149,7 +148,7 @@ def test_sweep_size_range_caps_the_claim():
 
 
 def test_sweep_budget_exhaustion_gives_partial_report():
-    report = max_admissible_size(11, budget=SearchBudget(max_candidates=4))
+    report = max_admissible_size(11, max_candidates=4)
     assert report.budget_exhausted
     assert report.maximality == "not-attempted"
     assert report.refutations == ()
@@ -157,8 +156,7 @@ def test_sweep_budget_exhaustion_gives_partial_report():
 
 def test_sweep_checkpoint_resume_byte_identical(tmp_path):
     ckpt = tmp_path / "resume.jsonl"
-    partial = max_admissible_size(7, budget=SearchBudget(max_candidates=2),
-                                  checkpoint_path=ckpt)
+    partial = max_admissible_size(7, max_candidates=2, checkpoint_path=ckpt)
     assert partial.budget_exhausted
     lines = [json.loads(s) for s in ckpt.read_text().splitlines()]
     assert lines and all("digits" in rec for rec in lines)
@@ -355,7 +353,7 @@ def test_verify_report_payload_accepts_a_partial_report_and_one_without_a_witnes
 
 @pytest.mark.parametrize("kwargs", [
     {"min_size": 1}, {"min_size": 7}, {"min_size": 9}, {"max_size": 1},
-    {"min_size": 4, "max_size": 3}, {"workers": 0}, {"workers": -1},
+    {"min_size": 4, "max_size": 3}, {"workers": 0}, {"workers": -1}, {"max_size": float("nan")},
 ])
 def test_sweep_rejects_bad_sizes_and_worker_counts_up_front(tmp_path, kwargs):
     ckpt = tmp_path / "sweep.jsonl"
@@ -365,25 +363,36 @@ def test_sweep_rejects_bad_sizes_and_worker_counts_up_front(tmp_path, kwargs):
 
 
 @pytest.mark.parametrize("budget", [
-    SearchBudget(max_seconds=-1), SearchBudget(max_candidates=-1),
-    SearchBudget(max_seconds=float("nan")), SearchBudget(max_seconds=5, max_candidates=-3),
+    {"max_seconds": -1}, {"max_candidates": -1},
+    {"max_seconds": float("nan")}, {"max_seconds": 5, "max_candidates": -3},
 ])
 def test_sweep_rejects_negative_budgets_up_front(tmp_path, budget):
     ckpt = tmp_path / "sweep.jsonl"
     with pytest.raises(ValueError):
-        max_admissible_size(7, budget=budget, checkpoint_path=ckpt, cert_dir=tmp_path / "certs")
+        max_admissible_size(7, checkpoint_path=ckpt, cert_dir=tmp_path / "certs", **budget)
     assert not ckpt.exists() and not (tmp_path / "certs").exists()
 
 
+def test_the_sweep_bounds_are_keywords_and_none_is_no_bound(tmp_path):
+    with pytest.raises(TypeError):  # a positional budget cannot become checkpoint_path
+        max_admissible_size(7, None)
+    ckpt = tmp_path / "sweep.jsonl"
+    for bound in ("max_size", "max_seconds", "max_candidates"):
+        with pytest.raises(TypeError):  # math.inf, not None, is no bound
+            max_admissible_size(7, checkpoint_path=ckpt, **{bound: None})
+    assert not ckpt.exists()
+
+
 def test_sweep_zero_budgets_give_an_empty_partial_report():
-    for budget in (SearchBudget(max_seconds=0), SearchBudget(max_candidates=0)):
-        report = max_admissible_size(7, budget=budget)
+    for budget in ({"max_seconds": 0}, {"max_candidates": 0}):
+        report = max_admissible_size(7, **budget)
         assert report.budget_exhausted and report.candidates_examined == 0
 
 
 def test_sweep_lowers_a_large_max_size_to_p_minus_1():
-    assert render_report(max_admissible_size(7, max_size=100)) == \
-        render_report(max_admissible_size(7))
+    unbounded = render_report(max_admissible_size(7))
+    assert render_report(max_admissible_size(7, max_size=100)) == unbounded
+    assert render_report(max_admissible_size(7, max_size=6)) == unbounded
     top_level = max_admissible_size(7, min_size=6, max_size=100)  # level 6 only
     assert top_level.candidates_examined == sum(1 for _ in candidates(7, 6))
 
