@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .zp import MODULUS_BOUND, DigitSetPair, is_prime
+from .zp import MODULUS_BOUND, DigitSetPair, _inverses, is_prime
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -200,16 +200,20 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
     if len(arr) <= 2:
         return CapCheck(True)
     n = arr.shape[1]
-    # inverses mod p; a negative residue -a indexes entry p - a
-    inverse = np.zeros(p, dtype=np.int64)
-    inverse[1:] = [pow(v, -1, p) for v in range(1, p)]
+    # inverses mod p: with at least p points a table of all of them, where a
+    # negative residue -a indexes entry p - a; with fewer, each base's leads
+    # are inverted by powering, so the cost follows the points, not p
+    table = None
+    if p <= len(arr):
+        table = np.zeros(p, dtype=np.int64)
+        table[1:] = [pow(v, -1, p) for v in range(1, p)]
     wide = p ** n > 2 ** 62  # base-p codes would overflow int64
     powers = None if wide else np.array([p ** i for i in range(n)], dtype=np.int64)
     row_bytes = np.dtype((np.void, 8 * n))
     for i in _scan_bases(arr):
         diff = arr[i + 1:] - arr[i]  # entries in (-p, p)
         lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
-        dirs = diff * inverse[lead][:, None]
+        dirs = diff * (_inverses(lead, p) if table is None else table[lead])[:, None]
         dirs -= dirs // p * p  # mod p; numpy's % is several times slower than //
         keys = dirs.view(row_bytes).ravel() if wide else dirs @ powers
         ordered = np.sort(keys)

@@ -66,15 +66,7 @@ def build_constraint_system(table: ProgressionTable) -> ConstraintSystem:
     labels = []
     for pos in (1, 2):  # triple index compared against position 0
         for d in table.pair.fixed:
-            row = []
-            for v in table.rows:
-                if v[0] == d and v[pos] != d:
-                    row.append(1)
-                elif v[pos] == d and v[0] != d:
-                    row.append(-1)
-                else:
-                    row.append(0)
-            matrix.append(tuple(row))
+            matrix.append(tuple([(v[0] == d) - (v[pos] == d) for v in table.rows]))
             labels.append((pos + 1, d))
     return ConstraintSystem(tuple(matrix), tuple(labels), table.rows)
 

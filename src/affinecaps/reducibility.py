@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -68,34 +69,43 @@ def _fire_digit(remaining: Sequence[Triple], position: int, digit: int):
     """One application of the digit rule at (position, digit).
 
     The rule applies when ``digit`` occurs in no remaining triple at
-    ``position`` (1-based) but still occurs somewhere. Returns the removed
-    triples and the survivors, or None when the rule does not apply.
+    ``position`` (1-based) but still occurs somewhere. Returns the step and
+    the survivors, or None when the rule does not apply.
     """
-    if any(t[position - 1] == digit for t in remaining):
+    if digit in map(itemgetter(position - 1), remaining):
         return None
-    removed = tuple(t for t in remaining if digit in t)
+    removed = tuple([t for t in remaining if digit in t])
     if not removed:
         return None  # digit gone entirely: rule is vacuous
-    return removed, [t for t in remaining if digit not in t]
+    return DigitStep(position, digit, removed), [t for t in remaining if digit not in t]
+
+
+def _digit_rule(table: ProgressionTable, recorded=None) -> ReductionTrace:
+    """The digit rule to a fixpoint, or until the iterator ``recorded`` runs out.
+
+    A move is a position 1..3 and a fixed digit. Each firing is the first
+    move that applies, position outer and digits ascending; when replaying,
+    it is the next recorded move if that is a move and applies.
+    """
+    remaining, fixed, steps = table.rows, table.pair.fixed, []
+    while remaining:
+        if recorded is None:
+            fired = next(filter(None, (_fire_digit(remaining, r, d)
+                                       for r in (1, 2, 3) for d in fixed)), None)
+        elif (move := next(recorded, None)) and move[0] in (1, 2, 3) and move[1] in fixed:
+            fired = _fire_digit(remaining, *move)
+        else:
+            fired = None
+        if fired is None:
+            break
+        step, remaining = fired
+        steps.append(step)
+    return ReductionTrace("digit", tuple(steps), not remaining)
 
 
 def digit_reduce(table: ProgressionTable) -> ReductionTrace:
-    """Run the digit rule to a fixpoint on the progressions of one equation.
-
-    Fires the first applicable (position, digit), position outer 1..3 and
-    fixed digits ascending, then restarts the scan.
-    """
-    remaining = list(table.rows)
-    order = [(r, d) for r in (1, 2, 3) for d in table.pair.fixed]
-    steps: list[DigitStep] = []
-    while remaining:
-        fired = next(((r, d, f) for r, d in order
-                      if (f := _fire_digit(remaining, r, d)) is not None), None)
-        if fired is None:
-            break
-        r, d, (removed, remaining) = fired
-        steps.append(DigitStep(r, d, removed))
-    return ReductionTrace("digit", tuple(steps), not remaining)
+    """Run the digit rule to a fixpoint on the progressions of one equation."""
+    return _digit_rule(table)
 
 
 def clear_denominators(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -191,74 +201,62 @@ def _fire_row(work: list[list[int]], surviving: list[int], i: int):
     row i is nonzero and single-signed: its support is forced to 0 over the
     nonnegative orthant. That support holds one pivot column, row i's own,
     so ``work`` without row i and its support is again such a multiple of
-    the RREF of the survivors. Returns the deleted columns (as original
+    the RREF of the survivors. Returns the step (its columns as original
     indices), that matrix and the surviving original indices, or None when
     the rule does not apply.
     """
     row = work[i]
     if not any(row) or min(row) < 0 < max(row):
         return None
-    support = [j for j, v in enumerate(row) if v]
     keep = [j for j, v in enumerate(row) if not v]
-    return (tuple(surviving[j] for j in support),
+    return (MatrixStep(i, tuple([surviving[j] for j, v in enumerate(row) if v])),
             [[r[j] for j in keep] for k, r in enumerate(work) if k != i],
             [surviving[j] for j in keep])
+
+
+def _matrix_rule(system: ConstraintSystem, recorded=None) -> ReductionTrace:
+    """The matrix rule until no row fires, or until the iterator ``recorded`` runs out.
+
+    Each firing is the lowest-index row that applies; when replaying, it is
+    the next recorded row if that is a row of the echelon form and applies.
+    """
+    surviving, steps = list(range(system.n_cols)), []
+    work, _ = _eliminate(system.matrix)
+    while surviving:
+        if recorded is None:
+            fired = next(filter(None, (_fire_row(work, surviving, i)
+                                       for i in range(len(work)))), None)
+        else:
+            i = next(recorded, None)
+            fired = _fire_row(work, surviving, i) if i in range(len(work)) else None
+        if fired is None:
+            break
+        step, work, surviving = fired
+        steps.append(step)
+    return ReductionTrace("matrix", tuple(steps), not surviving)
 
 
 def matrix_reduce(system: ConstraintSystem) -> ReductionTrace:
     """Run the column-deletion rule on the exact RREF of the matrix.
 
     Repeatedly fires the lowest-index nonzero row whose entries all share a
-    sign and deletes its support (those variables are forced to 0 over the
-    nonnegative orthant). The matrix is eliminated once: the fired row and
-    its support are dropped, which leaves the echelon form of the survivors.
-    Reduced-to-empty iff every column is eventually deleted.
+    sign and deletes its support: those variables are forced to 0 over the
+    nonnegative orthant. The matrix is eliminated once (see the module notes).
     """
-    surviving = list(range(system.n_cols))
-    work, _ = _eliminate(system.matrix)
-    steps: list[MatrixStep] = []
-    while surviving:
-        fired = next(((i, f) for i in range(len(work))
-                      if (f := _fire_row(work, surviving, i)) is not None), None)
-        if fired is None:
-            break
-        i, (columns, work, surviving) = fired
-        steps.append(MatrixStep(i, columns))
-    return ReductionTrace("matrix", tuple(steps), not surviving)
+    return _matrix_rule(system)
 
 
 def verify_digit_trace(pair: DigitSetPair, eq: LineEquation,
                        trace: ReductionTrace) -> bool:
-    """Replay a digit trace from scratch, checking every step's applicability."""
-    if trace.kind != "digit":
-        return False
-    remaining = list(enumerate_progressions(pair, eq).rows)
-    for step in trace.steps:
-        if not isinstance(step, DigitStep) or not 1 <= step.position <= 3:
-            return False
-        if step.digit not in pair.fixed:
-            return False
-        fired = _fire_digit(remaining, step.position, step.digit)
-        if fired is None or set(fired[0]) != set(step.removed):
-            return False
-        remaining = fired[1]
-    return (not remaining) == trace.reduced
+    """Whether the digit rule, firing the trace's moves, records the same trace."""
+    moves = [(s.position, s.digit) if isinstance(s, DigitStep) else None for s in trace.steps]
+    return _digit_rule(enumerate_progressions(pair, eq), iter(moves)) == trace
 
 
 def verify_matrix_trace(system: ConstraintSystem, trace: ReductionTrace) -> bool:
-    """Replay a matrix trace: single-signed rows and recorded column deletions."""
-    if trace.kind != "matrix":
-        return False
-    surviving = list(range(system.n_cols))
-    work, _ = _eliminate(system.matrix)
-    for step in trace.steps:
-        if not isinstance(step, MatrixStep) or not 0 <= step.row < len(work):
-            return False
-        fired = _fire_row(work, surviving, step.row)
-        if fired is None or fired[0] != tuple(step.columns):
-            return False
-        _, work, surviving = fired
-    return (not surviving) == trace.reduced
+    """Whether the matrix rule, firing the trace's rows, records the same trace."""
+    rows = [s.row if isinstance(s, MatrixStep) else None for s in trace.steps]
+    return _matrix_rule(system, iter(rows)) == trace
 
 
 def _ints(values, length: int | None = None) -> tuple[int, ...]:

@@ -433,6 +433,19 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
     return record
 
 
+def _checked_record(rec: dict) -> dict:
+    """The checkpoint record ``rec`` with a refutation's witness as ints. Raises
+    unless ``"admissible"`` is a JSON boolean and, if it is false, ``"refuted_b"``
+    is an int and ``"witness"`` a list of strings that each parse as an int."""
+    admissible = rec["admissible"]
+    if type(admissible) is not bool or not admissible and (
+            type(rec["refuted_b"]) is not int or type(rec["witness"]) is not list
+            or not all(type(v) is str for v in rec["witness"])):
+        raise ValueError("admissible is not a JSON boolean, or a refutation "
+                         "lacks an int refuted_b or a list of str witness")
+    return rec if admissible else {**rec, "witness": tuple(int(v) for v in rec["witness"])}
+
+
 class _Checkpoint:
     """Append-only JSONL store of the candidate verdicts mod ``p``, keyed by (size, digits),
     that computes the missing ones, through a pool when ``workers`` is above 1, while
@@ -444,9 +457,8 @@ class _Checkpoint:
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
     candidate is checked again. Any other line that is not a JSON object
-    with a size, digits and a JSON boolean ``"admissible"``, and if that is
-    false an integer ``"refuted_b"`` and a list of strings as ``"witness"``,
-    is refused with a ValueError naming the file and the line.
+    with a size and digits that ``_checked_record`` accepts is refused with
+    a ValueError naming the file and the line.
     """
 
     def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
@@ -459,14 +471,8 @@ class _Checkpoint:
             for number, line in enumerate(data[:complete].decode().splitlines(), 1):
                 if line.strip():
                     try:
-                        rec = json.loads(line)
-                        modulus, admissible = rec.get("p", p), rec["admissible"]
-                        if type(admissible) is not bool or not admissible and (
-                                type(rec["refuted_b"]) is not int
-                                or type(rec["witness"]) is not list
-                                or not all(type(v) is str for v in rec["witness"])):
-                            raise ValueError("admissible is not a JSON boolean, or a refutation "
-                                             "lacks an int refuted_b or a list of str witness")
+                        rec = _checked_record(json.loads(line))
+                        modulus = rec.get("p", p)
                         self.records[(rec["size"], tuple(rec["digits"]))] = rec
                     except (ValueError, KeyError, TypeError, AttributeError,
                             RecursionError) as exc:
@@ -506,6 +512,7 @@ class _Checkpoint:
                 if self._fh:
                     self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                     self._fh.flush()
+                rec = _checked_record(rec)  # the witness as ints, as in a stored record
             yield rec
 
     def close(self) -> None:
@@ -544,7 +551,8 @@ def max_admissible_size(
     first level it sweeps is already fully refuted. A ``max_size``
     above p - 1 is lowered to p - 1, and ``workers`` above the CPU count
     to that count; ``min_size`` outside 2..p-1, a ``max_size`` below
-    ``min_size`` or NaN, fewer than one worker, a negative or NaN budget and a
+    ``min_size`` or NaN, fewer than one worker, a negative or NaN budget, a
+    size or candidate bound that is neither an int nor ``math.inf`` and a
     checkpoint holding verdicts of another modulus raise ValueError
     before any work starts. ``cert_dir`` receives the certificates of the
     witness bundle; the refutations live in the report, which
@@ -561,6 +569,10 @@ def max_admissible_size(
     for name, limit in (("seconds", max_seconds), ("candidates", max_candidates)):
         if not limit >= 0:  # NaN fails too
             raise ValueError(f"the {name} budget must not be negative, got {limit}")
+    for name, bound in (("min_size", min_size), ("max_size", max_size),
+                        ("max_candidates", max_candidates)):
+        if type(bound) is not int and bound != math.inf:
+            raise ValueError(f"{name} must be an int or math.inf, got {bound!r}")
     ckpt = _Checkpoint(checkpoint_path, int(p), workers, max_candidates,
                        time.monotonic() + max_seconds)
     examined, best, refuted = 0, None, []
@@ -582,8 +594,8 @@ def max_admissible_size(
     if witness is not None and cert_dir is not None:
         for outcome in witness.outcomes:
             store_certificate(certificate_payload(witness.pair, outcome), cert_dir)
-    refutations = tuple(Refutation(tuple(r["digits"]), r["refuted_b"],
-                                   tuple(int(v) for v in r["witness"])) for r in refuted)
+    refutations = tuple(Refutation(tuple(r["digits"]), r["refuted_b"], r["witness"])
+                        for r in refuted)
     return SearchReport(int(p), witness, examined, "proven" if refutations else "not-attempted",
                         refutations, ckpt.budget_exhausted)
 

@@ -1,12 +1,15 @@
 import math
 import random
+import time
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 import golden as G
 from oracles import cone_admissible, cone_certificates, collinear_triple_naive
 from affinecaps import digit_pair
+from affinecaps.zp import _inverses
 from affinecaps.capset import (
     DEFAULT_ENUMERATION_CAP,
     CapPointSet,
@@ -135,6 +138,38 @@ def test_wide_vectors_agree_with_cubic_oracle(p, n):
         x, y = rng.sample(pts, 2)
         planted = tuple((2 * b - a) % p for a, b in zip(x, y))
         assert not assert_agrees_with_oracle(pts + [planted], p).ok
+
+
+def test_a_few_points_at_a_large_prime_are_checked_without_a_table_of_p_inverses():
+    p = 10_000_019
+    started = time.perf_counter()
+    assert not verify_cap([(0, 0, 0), (1, 2, 3), (2, 4, 6)], p).ok
+    assert verify_cap([(0, 0, 0), (1, 2, 3), (2, 4, 7)], p).ok
+    assert time.perf_counter() - started < 1
+
+
+def test_leads_of_either_sign_are_inverted_up_to_the_largest_modulus():
+    # below p points verify_cap inverts each base's leads, entries in (-p, p)
+    p = 2 ** 31 - 1
+    rng = random.Random(271)
+    leads = [1, -1, 2, -2, p - 1, 1 - p] + [rng.choice((1, -1)) * rng.randrange(1, p)
+                                             for _ in range(200)]
+    inverses = _inverses(np.array(leads, dtype=np.int64), p)
+    assert all(0 < v < p and a * v % p == 1 for a, v in zip(leads, inverses.tolist()))
+
+
+def test_sparse_sets_at_large_primes_agree_with_cubic_oracle():
+    rng = random.Random(1009)
+    verdicts = set()
+    for p in (10_007, 1_000_003, 10_000_019):
+        for n in (2, 3, 5):
+            pts = sorted({tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)})
+            verdicts.add(assert_agrees_with_oracle(pts, p).ok)
+            x, y = rng.sample(pts, 2)
+            c = rng.randrange(2, p)
+            planted = tuple((a + c * (b - a)) % p for a, b in zip(x, y))
+            assert not assert_agrees_with_oracle(pts + [planted], p).ok
+    assert verdicts == {True, False}
 
 
 def test_unclosed_cap_point_set_with_collinear_triple_is_rejected():

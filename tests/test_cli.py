@@ -535,9 +535,10 @@ REFUTED = '{"p": 7, "size": 4, "digits": [0, 1, 2, 3], '
     REFUTED + '"admissible": false, "refuted_b": "2", "witness": ["1", "1", "1"]}',
     REFUTED + '"admissible": false, "refuted_b": 2, "witness": "111"}',
     REFUTED + '"admissible": false, "refuted_b": 2, "witness": [1, 1, 1]}',
+    REFUTED + '"admissible": false, "refuted_b": 2, "witness": ["x", "1", "1"]}',
 ], ids=["list", "string", "list-size", "number-digits", "deeply-nested",
         "no-verdict", "string-verdict", "number-verdict", "no-refuted-b", "string-refuted-b",
-        "string-witness", "number-witness-entries"])
+        "string-witness", "number-witness-entries", "non-integer-witness-entry"])
 def test_search_refuses_a_malformed_checkpoint_record(tmp_path, capsys, record):
     run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     ckpt = tmp_path / "search_p7.checkpoint.jsonl"

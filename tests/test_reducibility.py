@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import golden as G
 from oracles import combined_reducible, digit_reducible, matrix_reducible
@@ -12,7 +15,12 @@ from affinecaps import (
     matrix_reduce,
     rref,
 )
-from affinecaps.search import check_pair
+from affinecaps.search import (
+    certificate_payload,
+    check_pair,
+    store_certificate,
+    verify_certificate_payload,
+)
 from affinecaps.reducibility import (
     DigitStep,
     MatrixStep,
@@ -147,16 +155,51 @@ def test_tampered_traces_fail_replay():
     pair = pair_for(11)
     eq = make_line_equation(11, 9)
     trace = digit_reduce(enumerate_progressions(pair, eq))
-    from affinecaps.reducibility import DigitStep, ReductionTrace
+    first = trace.steps[0]
+    assert len(first.removed) == 2
 
-    wrong_digit = ReductionTrace(
-        "digit",
-        (DigitStep(2, 4, trace.steps[0].removed),) + trace.steps[1:],
-        True,
-    )
-    assert not verify_digit_trace(pair, eq, wrong_digit)
-    wrong_verdict = ReductionTrace("digit", trace.steps[:1], True)
-    assert not verify_digit_trace(pair, eq, wrong_verdict)
+    def replays(step, reduced=True):
+        return verify_digit_trace(pair, eq, ReductionTrace(
+            "digit", (step,) + trace.steps[1:], reduced))
+
+    assert replays(first)
+    assert not replays(DigitStep(2, 4, first.removed))  # wrong digit
+    assert not verify_digit_trace(pair, eq, ReductionTrace("digit", trace.steps[:1], True))
+    # the removed triples are listed as the rule removes them: in table order, once each
+    assert not replays(DigitStep(first.position, first.digit, first.removed[::-1]))
+    assert not replays(DigitStep(first.position, first.digit,
+                                 first.removed + first.removed[:1]))
+    for position in (0, 4, -1):  # position 0 or -1 would index a triple from the end
+        assert not replays(DigitStep(position, first.digit, first.removed))
+    assert not replays(MatrixStep(0, (0, 1)))
+    assert not verify_digit_trace(pair, eq, ReductionTrace("matrix", trace.steps, True))
+    system = p23_full_fixed_system()
+    mtrace = matrix_reduce(system)
+    assert not verify_matrix_trace(system, ReductionTrace(
+        "matrix", (first,) + mtrace.steps[1:], True))
+    assert not verify_matrix_trace(system, ReductionTrace(
+        "matrix", mtrace.steps + (first,), True))
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_certificate_of_the_certify_benchmark_replays(tmp_path):
+    """Every certificate the certify benchmark writes at seed 1 passes cert-verify."""
+    stored = 0
+    for p, digits, fixed in _load_workloads().Certify(1, tmp_path).pairs:
+        pair = digit_pair(p, digits, fixed)
+        for outcome in check_pair(pair).outcomes:
+            name = store_certificate(certificate_payload(pair, outcome), tmp_path)
+            assert verify_certificate_payload(
+                json.loads((tmp_path / f"{name}.json").read_text())), (pair, outcome.b)
+            stored += 1
+    assert stored > 500
 
 
 def digit_trace_in_order(pair, eq, order):
@@ -168,8 +211,8 @@ def digit_trace_in_order(pair, eq, order):
                       if (f := _fire_digit(remaining, r, d)) is not None), None)
         if fired is None:
             break
-        r, d, (removed, remaining) = fired
-        steps.append(DigitStep(r, d, removed))
+        _, _, (step, remaining) = fired
+        steps.append(step)
     return ReductionTrace("digit", tuple(steps), not remaining)
 
 

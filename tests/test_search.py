@@ -354,6 +354,8 @@ def test_verify_report_payload_accepts_a_partial_report_and_one_without_a_witnes
 @pytest.mark.parametrize("kwargs", [
     {"min_size": 1}, {"min_size": 7}, {"min_size": 9}, {"max_size": 1},
     {"min_size": 4, "max_size": 3}, {"workers": 0}, {"workers": -1}, {"max_size": float("nan")},
+    {"max_size": 5.5}, {"max_size": 5.0}, {"min_size": 2.5}, {"max_candidates": 2.5},
+    {"max_candidates": True},
 ])
 def test_sweep_rejects_bad_sizes_and_worker_counts_up_front(tmp_path, kwargs):
     ckpt = tmp_path / "sweep.jsonl"
