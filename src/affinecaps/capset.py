@@ -152,36 +152,58 @@ def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int]:
     return arr, p
 
 
-def _scan_bases(arr: np.ndarray) -> np.ndarray:
+def _row_keys(p: int, n: int, dtype):
+    """The function giving one key per row of an array of residues mod p with n
+    columns of ``dtype``: the row's base-p code, or its bytes when p^n would
+    overflow int64. Equal rows, and only they, get equal keys."""
+    if p ** n > 2 ** 62:
+        row_bytes = np.dtype((np.void, dtype.itemsize * n))
+        return lambda rows: np.ascontiguousarray(rows).view(row_bytes).ravel()
+    powers = np.array([p ** i for i in range(n)], dtype=dtype)
+    return lambda rows: rows @ powers
+
+
+def _scan_bases(arr: np.ndarray, p: int) -> np.ndarray:
     """Rows a collinearity scan must start from: the sorted rows if the rows
     are closed under coordinate permutations, else all of them.
 
-    Groups the rows by their sorted copy. The group of a sorted row r lies
-    in the orbit of r, which has n! / prod(m!) points for the
+    Groups the rows by the key of their sorted copy. The group of a sorted
+    row r lies in the orbit of r, which has n! / prod(m!) points for the
     multiplicities m of the values in r, so the rows are closed exactly when
     every group has that many.
     """
     n = arr.shape[1]
-    sorted_rows, counts = np.unique(np.sort(arr, axis=1), axis=0, return_counts=True)
-    for row, count in zip(sorted_rows.tolist(), counts.tolist()):
+    ordered = np.sort(arr, axis=1)
+    _, first, counts = np.unique(_row_keys(p, n, arr.dtype)(ordered),
+                                 return_index=True, return_counts=True)
+    for row, count in zip(ordered[first].tolist(), counts.tolist()):
         orbit = math.factorial(n)
         for mult in Counter(row).values():
             orbit //= math.factorial(mult)
         if count != orbit:
             return np.arange(len(arr))
-    return np.flatnonzero((arr[:, 1:] >= arr[:, :-1]).all(axis=1))
+    return np.flatnonzero((ordered == arr).all(axis=1))
 
 
 def verify_cap(points, p: int | None = None) -> CapCheck:
     """Check that no three points are collinear.
 
     Directions: for a base point x, scale each difference y - x mod p so
-    that its first nonzero entry is 1. Distinct x, y, z are collinear
-    exactly when z - x = c (y - x) for some c, that is when y - x and z - x
-    scale to the same direction. So the scan encodes the directions from x
-    to the points after it as keys, sorts them and looks for a repeated
-    key; a triple is found from its least point. A key is the base-p code
-    of the direction, or its row bytes when p^n would overflow int64.
+    that its first nonzero entry, its lead, is 1. Distinct x, y, z are
+    collinear exactly when z - x = c (y - x) for some c, that is when y - x
+    and z - x scale to the same direction. So the scan encodes the
+    directions from x to the points after it as keys (``_row_keys``), sorts
+    them and looks for a repeated key; a triple is found from its least
+    point.
+
+    Leads: the points are sorted, so the first coordinate where x differs
+    from a later point y is the least of the first differing coordinates of
+    the adjacent pairs from x to y (the common prefixes of sorted strings),
+    and there y - x is positive. One running minimum per base gives them
+    all.
+
+    Width: the scan works in int32 when p^max(n, 2) < 2^31, which bounds
+    every product of two residues and every key, and in int64 otherwise.
 
     Orbits: coordinate permutations map lines to lines. If the set is
     closed under them, take the image of a collinear triple under all
@@ -200,22 +222,23 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
     if len(arr) <= 2:
         return CapCheck(True)
     n = arr.shape[1]
-    # inverses mod p: with at least p points a table of all of them, where a
-    # negative residue -a indexes entry p - a; with fewer, each base's leads
-    # are inverted by powering, so the cost follows the points, not p
+    arr = arr.astype(np.int32 if p ** max(n, 2) < 2 ** 31 else np.int64, copy=False)
+    # inverses mod p: with at least p points a table of all of them; with
+    # fewer, each base's leads are inverted by powering, so the cost follows
+    # the points, not p
     table = None
     if p <= len(arr):
-        table = np.zeros(p, dtype=np.int64)
+        table = np.zeros(p, dtype=arr.dtype)
         table[1:] = [pow(v, -1, p) for v in range(1, p)]
-    wide = p ** n > 2 ** 62  # base-p codes would overflow int64
-    powers = None if wide else np.array([p ** i for i in range(n)], dtype=np.int64)
-    row_bytes = np.dtype((np.void, 8 * n))
-    for i in _scan_bases(arr):
-        diff = arr[i + 1:] - arr[i]  # entries in (-p, p)
-        lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
-        dirs = diff * (_inverses(lead, p) if table is None else table[lead])[:, None]
+    key = _row_keys(p, n, arr.dtype)
+    first_change = (arr[1:] != arr[:-1]).argmax(axis=1)  # rows k and k + 1 differ there first
+    cols, index = np.ascontiguousarray(arr.T), np.arange(len(arr))  # one point per column
+    for i in _scan_bases(arr, p):
+        diff = cols[:, i + 1:] - cols[:, i, None]  # entries in (-p, p)
+        lead = diff[np.minimum.accumulate(first_change[i:]), index[:diff.shape[1]]]  # in (0, p)
+        dirs = diff * (_inverses(lead, p) if table is None else table[lead])
         dirs -= dirs // p * p  # mod p; numpy's % is several times slower than //
-        keys = dirs.view(row_bytes).ravel() if wide else dirs @ powers
+        keys = key(dirs.T)
         ordered = np.sort(keys)
         repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
         if len(repeats):

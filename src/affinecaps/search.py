@@ -400,12 +400,17 @@ def verify_report_payload(data) -> bool:
         if any(len(digits) != size + 1 for digits in refuted) or \
                 len(set(_normal_forms(refuted, p).values())) != orbit_count(p, size + 1):
             return False
-        return all(verify_certificate_payload(
-            {"p": p, "digits": r["digits"], "fixed": r["digits"], "b": r["b"], "method": "cone",
-             "certificate": {"kind": "nontrivial", "witness": r["witness"]}})
-            for r in refutations)
+        return all(_refutation_holds(p, r["digits"], r["b"], r["witness"]) for r in refutations)
     except TypeError as exc:
         raise ValueError(f"malformed search report: {exc}") from exc
+
+
+def _refutation_holds(p: int, digits, b: int, witness) -> bool:
+    """Whether ``witness`` refutes ``digits`` mod p at b with every digit pinned,
+    checked by ``verify_certificate_payload`` as a nontrivial cone certificate."""
+    return verify_certificate_payload(
+        {"p": p, "digits": digits, "fixed": digits, "b": b, "method": "cone",
+         "certificate": {"kind": "nontrivial", "witness": witness}})
 
 
 def _report_digits(digits, p) -> tuple[int, ...]:
@@ -435,8 +440,11 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
 
 def _checked_record(rec: dict) -> dict:
     """The checkpoint record ``rec`` with a refutation's witness as ints. Raises
-    unless ``"admissible"`` is a JSON boolean and, if it is false, ``"refuted_b"``
-    is an int and ``"witness"`` a list of strings that each parse as an int."""
+    unless ``"p"``, if present, is a JSON integer, ``"admissible"`` is a JSON
+    boolean and, if it is false, ``"refuted_b"`` is an int and ``"witness"`` a
+    list of strings that each parse as an int."""
+    if type(rec.get("p", 0)) is not int:  # a bool, a float or a string must not pass for p
+        raise ValueError(f"p is not a JSON integer: {rec['p']!r:.40}")
     admissible = rec["admissible"]
     if type(admissible) is not bool or not admissible and (
             type(rec["refuted_b"]) is not int or type(rec["witness"]) is not list
@@ -457,8 +465,10 @@ class _Checkpoint:
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
     candidate is checked again. Any other line that is not a JSON object
-    with a size and digits that ``_checked_record`` accepts is refused with
-    a ValueError naming the file and the line.
+    with a size and digits that ``_checked_record`` accepts, and any stored
+    refutation that ``_refutation_holds`` rejects, is refused with a
+    ValueError naming the file and the line. Verdicts computed in this run
+    are not checked again.
     """
 
     def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
@@ -473,6 +483,9 @@ class _Checkpoint:
                     try:
                         rec = _checked_record(json.loads(line))
                         modulus = rec.get("p", p)
+                        # a verdict of another modulus is refused below, not checked
+                        sound = modulus != p or rec["admissible"] or _refutation_holds(
+                            p, rec["digits"], rec["refuted_b"], list(rec["witness"]))
                         self.records[(rec["size"], tuple(rec["digits"]))] = rec
                     except (ValueError, KeyError, TypeError, AttributeError,
                             RecursionError) as exc:
@@ -481,6 +494,9 @@ class _Checkpoint:
                     if modulus != p:
                         raise ValueError(f"checkpoint {self.path} holds a verdict mod "
                                          f"{modulus}, not mod {p}")
+                    if not sound:
+                        raise ValueError(f"checkpoint {self.path} line {number} holds a "
+                                         f"refutation that does not verify")
             if complete < len(data):
                 os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None

@@ -128,6 +128,7 @@ def test_criterion_05_cap_construction_and_verification():
     t0 = time.monotonic()
     cap10 = build_cap(pair11, 10)
     assert len(cap10) == 302400 == size_estimate(pair11, 10).exact_count
+    assert verify_cap(cap10).ok
     mid = time.monotonic() - t0
     assert mid < 30.0
 
@@ -144,7 +145,7 @@ def test_criterion_05_cap_construction_and_verification():
     broken = verify_cap(list(cap.points) + [planted], 11)
     assert not broken.ok and broken.violation is not None
     report(5, f"240-point cap verified ({small:.2f}s); 302400 points counted "
-              f"({mid:.2f}s); 10080-point cap fully verified ({big:.1f}s); "
+              f"and verified ({mid:.2f}s); 10080-point cap fully verified ({big:.1f}s); "
               f"corruption detected with witness triple")
 
 

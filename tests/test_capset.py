@@ -14,6 +14,7 @@ from affinecaps.capset import (
     DEFAULT_ENUMERATION_CAP,
     CapPointSet,
     EnumerationTooLarge,
+    _scan_bases,
     bound_table,
     build_cap,
     eg_constant,
@@ -140,6 +141,50 @@ def test_wide_vectors_agree_with_cubic_oracle(p, n):
         assert not assert_agrees_with_oracle(pts + [planted], p).ok
 
 
+@pytest.mark.parametrize("p, n", [(1289, 3), (1291, 3), (46337, 2), (46349, 2)],
+                         ids=["int32-n3", "int64-n3", "int32-n2", "int64-n2"])
+def test_sets_on_both_sides_of_the_int32_switch_agree_with_cubic_oracle(p, n):
+    # p^n lies just below 2^31 for the first prime of each n and just above
+    # for the second. From x, the lead of y - x is p - 1, whose inverse is
+    # p - 1, so the scan forms the products +-(p - 1)^2.
+    x = (0,) + (p - 1,) * (n - 1)
+    y = (p - 1,) + (0,) * (n - 1)
+    z = tuple((a + 2 * (b - a)) % p for a, b in zip(x, y))
+    rng = random.Random(p)
+    pts = sorted({tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)} - {x, y, z})
+    assert assert_agrees_with_oracle(pts, p).ok
+    assert not assert_agrees_with_oracle(pts + [x, y, z], p).ok
+
+
+def unit_rows(n, *values):
+    """The multiples v * e_i of the unit vectors for each v (v = 0 repeats the
+    origin): a set closed under coordinate permutations."""
+    return [tuple(v if k == i else 0 for k in range(n)) for v in values for i in range(n)]
+
+
+NEARLY_CLOSED = [q for t in range(1, 4) for q in permutations((t, 0, 0)) if q != (0, 0, 2)]
+
+
+@pytest.mark.parametrize("points, p, closed, ok", [
+    (unit_rows(39, 0, 1), 3, True, True),
+    (unit_rows(39, 0, 1, 2), 3, True, False),
+    (unit_rows(40, 0, 1), 3, True, True),
+    (unit_rows(40, 0, 1, 2), 3, True, False),
+    (NEARLY_CLOSED, 5, False, False),
+], ids=["code-key", "code-key-triple", "bytes-key", "bytes-key-triple", "one-row-short"])
+def test_permutation_closure_is_counted_on_the_points(points, p, closed, ok):
+    # 3^39 < 2^62 < 3^40, so the closure count keys the sorted rows by their
+    # base-3 code at n = 39 and by their bytes at n = 40. Without (0, 0, 2)
+    # the set is one point short of closed, and both its collinear triples,
+    # on the first and the second axis, start from an unsorted point.
+    points = sorted(set(points))
+    arr = np.array(points, dtype=np.int64)
+    bases = np.flatnonzero((np.sort(arr, axis=1) == arr).all(axis=1)) if closed \
+        else np.arange(len(arr))
+    assert _scan_bases(arr, p).tolist() == bases.tolist()
+    assert assert_agrees_with_oracle(points, p).ok == ok
+
+
 def test_a_few_points_at_a_large_prime_are_checked_without_a_table_of_p_inverses():
     p = 10_000_019
     started = time.perf_counter()
@@ -149,7 +194,8 @@ def test_a_few_points_at_a_large_prime_are_checked_without_a_table_of_p_inverses
 
 
 def test_leads_of_either_sign_are_inverted_up_to_the_largest_modulus():
-    # below p points verify_cap inverts each base's leads, entries in (-p, p)
+    # below p points verify_cap inverts each base's leads, in (0, p), by powering;
+    # the powering takes residues of either sign
     p = 2 ** 31 - 1
     rng = random.Random(271)
     leads = [1, -1, 2, -2, p - 1, 1 - p] + [rng.choice((1, -1)) * rng.randrange(1, p)

@@ -536,9 +536,13 @@ REFUTED = '{"p": 7, "size": 4, "digits": [0, 1, 2, 3], '
     REFUTED + '"admissible": false, "refuted_b": 2, "witness": "111"}',
     REFUTED + '"admissible": false, "refuted_b": 2, "witness": [1, 1, 1]}',
     REFUTED + '"admissible": false, "refuted_b": 2, "witness": ["x", "1", "1"]}',
+    '{"p": "7", "size": 2, "digits": [0, 1], "admissible": true}',
+    '{"p": 7.0, "size": 2, "digits": [0, 1], "admissible": true}',
+    '{"p": true, "size": 2, "digits": [0, 1], "admissible": true}',
 ], ids=["list", "string", "list-size", "number-digits", "deeply-nested",
         "no-verdict", "string-verdict", "number-verdict", "no-refuted-b", "string-refuted-b",
-        "string-witness", "number-witness-entries", "non-integer-witness-entry"])
+        "string-witness", "number-witness-entries", "non-integer-witness-entry",
+        "string-p", "float-p", "bool-p"])
 def test_search_refuses_a_malformed_checkpoint_record(tmp_path, capsys, record):
     run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     ckpt = tmp_path / "search_p7.checkpoint.jsonl"
@@ -546,6 +550,29 @@ def test_search_refuses_a_malformed_checkpoint_record(tmp_path, capsys, record):
     code, out, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     assert code == 2 and not out and "Traceback" not in err
     assert err.startswith(f"error: checkpoint {ckpt} line 1 ")
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda rec: rec["witness"].__setitem__(0, "-5"),
+    lambda rec: rec.update(witness=["0"] * len(rec["witness"])),
+    lambda rec: rec["witness"].pop(),
+    lambda rec: rec.update(refuted_b=rec["refuted_b"] + 1),
+    lambda rec: rec.update(digits=[7] + rec["digits"][1:]),
+], ids=["negative-entry", "zero-witness", "short-witness", "other-b", "digit-out-of-range"])
+def test_search_refuses_a_stored_refutation_that_does_not_verify(tmp_path, capsys, tamper):
+    run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    ckpt = tmp_path / "search_p7.checkpoint.jsonl"
+    report = (tmp_path / "search_p7.json").read_bytes()
+    lines = ckpt.read_text().splitlines()
+    number = max(i for i, line in enumerate(lines, 1) if not json.loads(line)["admissible"])
+    rec = json.loads(lines[number - 1])
+    tamper(rec)
+    lines[number - 1] = json.dumps(rec, sort_keys=True)
+    ckpt.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith(f"error: checkpoint {ckpt} line {number} ")
+    assert (tmp_path / "search_p7.json").read_bytes() == report
 
 
 def test_search_refuses_a_checkpoint_of_another_modulus(tmp_path, capsys):
