@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -120,7 +121,8 @@ class CapCheck:
 
 
 def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int]:
-    """Sorted distinct points as int64 rows, and the modulus; points must lie in [0, p)^n.
+    """Sorted distinct points as int64 rows, and the modulus; points must be integer
+    vectors in [0, p)^n.
 
     A CapPointSet is checked like a raw collection, since nothing stops one
     from being built by hand. Points that already come strictly increasing,
@@ -128,24 +130,24 @@ def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int]:
     again.
     """
     if isinstance(points, CapPointSet):
-        if p is not None and int(p) != points.p:
+        if p is not None and operator.index(p) != points.p:
             raise ValueError(f"modulus {p} conflicts with the point set's p = {points.p}")
         points, p = points.points, points.p
     if p is None:
         raise ValueError("p is required for a raw point collection")
-    p = int(p)
+    p = operator.index(p)
     try:
-        arr = np.array(list(points), dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"point coordinates must lie in [0, {p})") from exc
+        arr = np.array(list(points))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"points must be integer vectors of one dimension: {exc}") from exc
     if not arr.size:
-        return arr.reshape(0, 0), p
+        return np.empty((0, 0), np.int64), p
     if arr.ndim != 2:
         raise ValueError("points must be integer vectors of one dimension")
-    if arr.min() < 0 or arr.max() >= p:
-        raise ValueError(f"point coordinates must lie in [0, {p})")
+    # bools, floats, strings and integers beyond uint64 (an object array) are refused
+    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= p:
+        raise ValueError(f"point coordinates must be integers in [0, {p})")
+    arr = arr.astype(np.int64, copy=False)
     step = arr[1:] - arr[:-1]
     if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
         arr = np.unique(arr, axis=0)
@@ -223,13 +225,9 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
         return CapCheck(True)
     n = arr.shape[1]
     arr = arr.astype(np.int32 if p ** max(n, 2) < 2 ** 31 else np.int64, copy=False)
-    # inverses mod p: with at least p points a table of all of them; with
-    # fewer, each base's leads are inverted by powering, so the cost follows
-    # the points, not p
-    table = None
-    if p <= len(arr):
-        table = np.zeros(p, dtype=arr.dtype)
-        table[1:] = [pow(v, -1, p) for v in range(1, p)]
+    # inverses mod p, by powering: with at least p points a table of all of
+    # them; with fewer, each base's leads, so the cost follows the points, not p
+    table = _inverses(np.arange(p, dtype=arr.dtype), p) if p <= len(arr) else None
     key = _row_keys(p, n, arr.dtype)
     first_change = (arr[1:] != arr[:-1]).argmax(axis=1)  # rows k and k + 1 differ there first
     cols, index = np.ascontiguousarray(arr.T), np.arange(len(arr))  # one point per column

@@ -18,7 +18,6 @@ from .capset import (
     build_cap,
     eg_constant,
     read_points,
-    size_estimate,
     verify_cap,
     write_points,
 )
@@ -153,9 +152,6 @@ def cmd_verify(args) -> int:
         fixed = None if args.dprime is None else _parse_digits(args.dprime)
         pair = digit_pair(args.p, digits, fixed)
         cap = build_cap(pair, args.n)
-        expected = size_estimate(pair, args.n).exact_count
-        if len(cap) != expected:
-            raise CliError(f"enumerated {len(cap)} points, closed form says {expected}")
         if args.save_points:
             write_points(cap, args.save_points)
         check = verify_cap(cap)

@@ -438,20 +438,24 @@ def _candidate_record(p: int, digits: tuple[int, ...]) -> dict:
     return record
 
 
-def _checked_record(rec: dict) -> dict:
-    """The checkpoint record ``rec`` with a refutation's witness as ints. Raises
-    unless ``"p"``, if present, is a JSON integer, ``"admissible"`` is a JSON
-    boolean and, if it is false, ``"refuted_b"`` is an int and ``"witness"`` a
-    list of strings that each parse as an int."""
-    if type(rec.get("p", 0)) is not int:  # a bool, a float or a string must not pass for p
-        raise ValueError(f"p is not a JSON integer: {rec['p']!r:.40}")
-    admissible = rec["admissible"]
-    if type(admissible) is not bool or not admissible and (
-            type(rec["refuted_b"]) is not int or type(rec["witness"]) is not list
-            or not all(type(v) is str for v in rec["witness"])):
-        raise ValueError("admissible is not a JSON boolean, or a refutation "
-                         "lacks an int refuted_b or a list of str witness")
-    return rec if admissible else {**rec, "witness": tuple(int(v) for v in rec["witness"])}
+def _checked_record(rec: dict, p: int) -> dict:
+    """``rec``, a record read from a checkpoint mod p, once it proves to be a verdict
+    that holds. Raises unless ``"p"``, if present, is a JSON integer equal to p,
+    ``"size"`` and the ``"digits"`` are JSON integers, ``"admissible"`` is a JSON
+    boolean and, if it is false, the witness entries are strings and the
+    refutation passes ``_refutation_holds``."""
+    modulus, digits, admissible = rec.get("p", p), rec["digits"], rec["admissible"]
+    if type(modulus) is not int:  # a bool, a float or a string must not pass for p
+        raise ValueError(f"p is not a JSON integer: {modulus!r:.40}")
+    if modulus != p:
+        raise ValueError(f"the record holds a verdict mod {modulus}, not mod {p}")
+    if type(rec["size"]) is not int or type(digits) is not list or type(admissible) is not bool \
+            or not all(type(d) is int for d in digits):
+        raise ValueError("size or a digit is not a JSON integer, or admissible not a JSON boolean")
+    if not admissible and not (all(type(v) is str for v in rec["witness"])
+                               and _refutation_holds(p, digits, rec["refuted_b"], rec["witness"])):
+        raise ValueError("a witness entry is not a string, or the refutation does not verify")
+    return rec
 
 
 class _Checkpoint:
@@ -460,15 +464,15 @@ class _Checkpoint:
     the budget lasts: at most ``room`` of them, and none once the clock is past
     ``deadline``. Stored verdicts cost no budget, so each budgeted run advances.
 
-    A record of another modulus is refused with ValueError on opening; a
-    record without ``"p"`` (the earlier format) is read as one mod ``p``.
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
-    candidate is checked again. Any other line that is not a JSON object
-    with a size and digits that ``_checked_record`` accepts, and any stored
-    refutation that ``_refutation_holds`` rejects, is refused with a
-    ValueError naming the file and the line. Verdicts computed in this run
-    are not checked again.
+    candidate is checked again. Every other line is read as UTF-8 JSON and
+    checked once, by ``_checked_record``, on opening; one that fails, a
+    record of another modulus among them, raises ValueError naming the file
+    and the line. A record without ``"p"`` (the earlier format) is read as
+    one mod ``p``.
+    Records are kept as stored, the witness as decimal strings; those
+    computed in this run are not checked again.
     """
 
     def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
@@ -478,25 +482,15 @@ class _Checkpoint:
         if self.path and self.path.exists():
             data = self.path.read_bytes()
             complete = data.rfind(b"\n") + 1
-            for number, line in enumerate(data[:complete].decode().splitlines(), 1):
+            for number, line in enumerate(data[:complete].splitlines(), 1):
                 if line.strip():
                     try:
-                        rec = _checked_record(json.loads(line))
-                        modulus = rec.get("p", p)
-                        # a verdict of another modulus is refused below, not checked
-                        sound = modulus != p or rec["admissible"] or _refutation_holds(
-                            p, rec["digits"], rec["refuted_b"], list(rec["witness"]))
+                        rec = _checked_record(json.loads(line.decode()), p)
                         self.records[(rec["size"], tuple(rec["digits"]))] = rec
                     except (ValueError, KeyError, TypeError, AttributeError,
                             RecursionError) as exc:
-                        raise ValueError(f"checkpoint {self.path} line {number} is not a "
-                                         f"verdict record: {exc!r:.200}") from exc
-                    if modulus != p:
-                        raise ValueError(f"checkpoint {self.path} holds a verdict mod "
-                                         f"{modulus}, not mod {p}")
-                    if not sound:
-                        raise ValueError(f"checkpoint {self.path} line {number} holds a "
-                                         f"refutation that does not verify")
+                        raise ValueError(f"checkpoint {self.path} line {number} is refused: "
+                                         f"{exc!r:.200}") from exc
             if complete < len(data):
                 os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None
@@ -528,7 +522,6 @@ class _Checkpoint:
                 if self._fh:
                     self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                     self._fh.flush()
-                rec = _checked_record(rec)  # the witness as ints, as in a stored record
             yield rec
 
     def close(self) -> None:
@@ -610,8 +603,8 @@ def max_admissible_size(
     if witness is not None and cert_dir is not None:
         for outcome in witness.outcomes:
             store_certificate(certificate_payload(witness.pair, outcome), cert_dir)
-    refutations = tuple(Refutation(tuple(r["digits"]), r["refuted_b"], r["witness"])
-                        for r in refuted)
+    refutations = tuple(Refutation(tuple(r["digits"]), r["refuted_b"],
+                                   tuple(int(v) for v in r["witness"])) for r in refuted)
     return SearchReport(int(p), witness, examined, "proven" if refutations else "not-attempted",
                         refutations, ckpt.budget_exhausted)
 
@@ -636,11 +629,10 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
 
     A fixed set is skipped, not checked, when the witness of one refuted
     before balances every digit of it: the witness then lies in that set's
-    cone too, so the set is refuted as well.
+    cone too, so the set is refuted as well. The last fixed set is the whole
+    digit set, so an inadmissible set raises ValueError when the loop ends.
     """
     digits = tuple(sorted(set(digits)))
-    if not check_pair(digit_pair(p, digits)).admissible:
-        raise ValueError(f"digit set {digits} is not admissible mod {p}")
     balanced: list[set[int]] = []
     for size in range(len(digits) + 1):
         for fixed in combinations(digits, size):
@@ -651,7 +643,7 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
             if verdict.admissible:
                 return verdict
             balanced.append(_balanced_digits(pair, verdict.outcomes[-1]))
-    raise AssertionError("unreachable: the full digit set is admissible")
+    raise ValueError(f"digit set {digits} is not admissible mod {p}")
 
 
 def _balanced_digits(pair: DigitSetPair, refuting: RepOutcome) -> set[int]:

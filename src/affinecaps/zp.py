@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -32,7 +33,7 @@ class Prime(int):
     """An odd prime modulus >= 5, validated at construction."""
 
     def __new__(cls, p: int) -> "Prime":
-        p = int(p)
+        p = operator.index(p)
         if not 5 <= p < MODULUS_BOUND or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime in [5, 2**31), got {p}")
         return super().__new__(cls, p)
@@ -65,10 +66,10 @@ class DigitSetPair:
 
 def digit_pair(p: int, digits, fixed=None) -> DigitSetPair:
     """Build a DigitSetPair from plain sequences; ``fixed`` defaults to all digits."""
-    digits = tuple(sorted(set(int(d) for d in digits)))
+    digits = tuple(sorted(set(map(operator.index, digits))))
     if fixed is None:
         fixed = digits
-    return DigitSetPair(Prime(p), digits, tuple(sorted(set(int(d) for d in fixed))))
+    return DigitSetPair(Prime(p), digits, tuple(sorted(set(map(operator.index, fixed)))))
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class LineEquation:
 
 
 def make_line_equation(p: int, b: int) -> LineEquation:
-    p = Prime(p)
+    p, b = Prime(p), operator.index(b)
     if not 1 <= b <= p - 2:
         raise ValueError(f"b must lie in 1..{p - 2}, got {b} (degenerate equation)")
     return LineEquation(p, b, (-(b + 1)) % p)

@@ -99,6 +99,7 @@ def test_trivial_point_sets_pass():
     [(0, 1, 2), (0, 1)],
     [(0, 1), (1, 2), (3, 4, 5)],
     [(0, 1, 2), (0, 1, 2 ** 64)],
+    [0, 1, 2],
 ])
 def test_raw_points_outside_the_grid_are_rejected(points):
     for check in (verify_cap, collinear_triple_naive):
@@ -259,6 +260,8 @@ def test_conflicting_modulus_is_rejected():
     cap = build_cap(PAIR11, 5)
     with pytest.raises(ValueError):
         verify_cap(cap, 13)
+    with pytest.raises(ValueError):  # a raw collection has no modulus of its own
+        verify_cap(cap.points)
     assert verify_cap(cap, 11).ok
 
 

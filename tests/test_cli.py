@@ -131,9 +131,10 @@ def test_cert_verify_rejects_a_truncated_matrix_trace(tmp_path, capsys):
     {**P11_B1_CERT, "digits": [False, True, 3, 4, 5]},
     {**P11_B1_CERT, "trace": {**P11_B1_CERT["trace"], "steps": [
         {**P11_B1_STEPS[0], "digit": True}, P11_B1_STEPS[1]]}},
+    {**P11_B1_CERT, "method": "oracle"},
 ], ids=["top-level-list", "digit-step-not-object", "dual-not-list", "dual-zero-denominator",
         "unknown-kind", "witness-of-floats", "unknown-verdict", "boolean-b",
-        "boolean-digits", "boolean-step-digit"])
+        "boolean-digits", "boolean-step-digit", "unknown-method"])
 def test_cert_verify_malformed_document_is_an_input_error(tmp_path, capsys, document):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
@@ -289,6 +290,16 @@ def test_verify_build_mode(capsys):
                        "--Dprime", "0,1,3", "-n", "5")
     assert code == 0
     assert "240 points" in out
+
+
+@pytest.mark.parametrize("fixed, code", [("0,1,3", 0), ("", 1)])
+def test_verify_saved_points_verify_alike_from_their_file(tmp_path, capsys, fixed, code):
+    path = tmp_path / "cap.txt"
+    built = run(capsys, "--format", "json", "verify", "-p", "11", "-D", "0,1,3,4,5",
+                "--Dprime", fixed, "-n", "5", "--save-points", str(path))
+    read = run(capsys, "--format", "json", "verify", "-p", "11", "--points-file", str(path))
+    assert built == read and built[0] == code
+    assert json.loads(built[1])["points"] == len(path.read_text().splitlines())
 
 
 def test_verify_points_file_roundtrip(tmp_path, capsys):
@@ -573,6 +584,16 @@ def test_search_refuses_a_stored_refutation_that_does_not_verify(tmp_path, capsy
     assert code == 2 and not out and "Traceback" not in err
     assert err.startswith(f"error: checkpoint {ckpt} line {number} ")
     assert (tmp_path / "search_p7.json").read_bytes() == report
+
+
+def test_search_names_the_line_of_a_checkpoint_record_that_is_not_utf8(tmp_path, capsys):
+    run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    ckpt = tmp_path / "search_p7.checkpoint.jsonl"
+    lines = ckpt.read_bytes().splitlines(keepends=True)
+    ckpt.write_bytes(b"".join(lines[:2] + [b'{"p": 7, "size": "\xff"}\n'] + lines[2:]))
+    code, out, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith(f"error: checkpoint {ckpt} line 3 ")
 
 
 def test_search_refuses_a_checkpoint_of_another_modulus(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 import golden as G
 from oracles import mirror_partner, swap_partner
 from affinecaps import (
@@ -25,6 +27,11 @@ def test_golden_lists():
     assert list(table(17, G.P17_DIGITS, 14).rows) == sorted(G.P17_TABLE_B14)
     assert list(table(17, G.P17_DIGITS, 13).rows) == sorted(G.P17_TABLE_B13)
     assert list(table(23, G.P23_DIGITS, 21).rows) == G.P23_TABLE_B21
+
+
+def test_an_equation_of_another_modulus_is_refused():
+    with pytest.raises(ValueError, match="different moduli"):
+        enumerate_progressions(digit_pair(11, G.P11_DIGITS), make_line_equation(13, 9))
 
 
 def test_completeness_against_cubic_scan():

@@ -11,7 +11,8 @@ import pytest
 import golden as G
 from oracles import all_candidates, cone_admissible, matrix_first_check_pair
 from traffic import pipeline_pairs
-from affinecaps import digit_pair, normalize_digit_set, search
+from affinecaps import Prime, digit_pair, make_line_equation, normalize_digit_set, search
+from affinecaps.capset import verify_cap
 from affinecaps.search import (
     candidates,
     check_pair,
@@ -177,6 +178,39 @@ def test_a_checkpoint_of_another_modulus_is_refused_before_any_check(
     with pytest.raises(ValueError, match=f"mod {written}, not mod {read}"):
         max_admissible_size(read, checkpoint_path=ckpt, cert_dir=tmp_path / "certs")
     assert ckpt.read_bytes() == kept and not (tmp_path / "certs").exists()
+
+
+def resume_with_tampered_best(tmp_path, tamper):
+    """Resume the finished p = 7 sweep after ``tamper`` edits the stored record
+    of its largest admissible set."""
+    ckpt = tmp_path / "sweep.jsonl"
+    max_admissible_size(7, checkpoint_path=ckpt)
+    records = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    tamper(max((r for r in records if r["admissible"]), key=lambda r: r["size"]))
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return max_admissible_size(7, checkpoint_path=ckpt)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: Prime(11.5), TypeError, None),
+    (lambda tmp: max_admissible_size(7.5), TypeError, None),
+    (lambda tmp: digit_pair(11, [0, 1.5, 3]), TypeError, None),
+    (lambda tmp: digit_pair(11, [0, 1, 3], [0, 1.0]), TypeError, None),
+    (lambda tmp: make_line_equation(11, 2.5), TypeError, None),
+    (lambda tmp: verify_cap([(0, 1.5), (1, 2), (2, 2.9)], 11), ValueError, "integers"),
+    (lambda tmp: verify_cap([("1", "2"), (1, 2)], 11), ValueError, "integers"),
+    (lambda tmp: verify_cap([(True, False), (False, True)], 11), ValueError, "integers"),
+    (lambda tmp: verify_cap([(0, 1), (1, 2)], 11.0), TypeError, None),
+    (lambda tmp: resume_with_tampered_best(
+        tmp, lambda rec: rec["digits"].append(float(rec["digits"].pop()))),
+     ValueError, r"line \d+ is refused"),
+    (lambda tmp: resume_with_tampered_best(tmp, lambda rec: rec.update(size=float(rec["size"]))),
+     ValueError, r"line \d+ is refused"),
+], ids=["prime", "sweep-modulus", "digit", "fixed-digit", "line-b", "float-point",
+        "string-point", "bool-point", "cap-modulus", "checkpoint-digit", "checkpoint-size"])
+def test_non_integer_input_is_refused_not_truncated(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
 
 
 def test_store_certificate_repairs_a_torn_file(tmp_path):

@@ -12,7 +12,7 @@ from affinecaps import (
     make_line_equation,
     normalize_digit_set,
 )
-from affinecaps.zp import affine_image, is_prime
+from affinecaps.zp import DigitSetPair, affine_image, is_prime
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
@@ -39,6 +39,9 @@ def test_digit_pair_validation():
         digit_pair(11, (0, 1, 11))  # out of range
     with pytest.raises(ValueError):
         digit_pair(11, (0, 1, 3), (0, 2))  # fixed not a subset
+    for digits, fixed in (((0, 3, 1), (0,)), ((0, 1, 3), (3, 0))):
+        with pytest.raises(ValueError, match="ascending"):  # built without digit_pair
+            DigitSetPair(Prime(11), digits, fixed)
 
 
 def test_line_equation_examples():
