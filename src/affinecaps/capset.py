@@ -14,6 +14,7 @@ import numpy as np
 from .zp import MODULUS_BOUND, DigitSetPair, _inverses, is_prime
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
+_SCAN_BLOCK = 2 ** 17  # differences per block of collinearity scan bases
 
 
 class EnumerationTooLarge(ValueError):
@@ -120,8 +121,9 @@ class CapCheck:
     violation: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int]:
-    """Sorted distinct points as int64 rows, and the modulus; points must be integer
+def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Sorted distinct points as int64 rows, the modulus, and the first
+    coordinate where each row differs from the next; points must be integer
     vectors in [0, p)^n.
 
     A CapPointSet is checked like a raw collection, since nothing stops one
@@ -141,28 +143,31 @@ def _as_point_array(points, p: int | None) -> tuple[np.ndarray, int]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"points must be integer vectors of one dimension: {exc}") from exc
     if not arr.size:
-        return np.empty((0, 0), np.int64), p
+        return np.empty((0, 0), np.int64), p, np.empty(0, np.intp)
     if arr.ndim != 2:
         raise ValueError("points must be integer vectors of one dimension")
     # bools, floats, strings and integers beyond uint64 (an object array) are refused
     if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= p:
         raise ValueError(f"point coordinates must be integers in [0, {p})")
     arr = arr.astype(np.int64, copy=False)
-    step = arr[1:] - arr[:-1]
-    if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+    fc = (arr[1:] != arr[:-1]).argmax(axis=1)  # rows k and k + 1 differ first there
+    k = np.arange(len(fc))
+    if not (arr[k + 1, fc] > arr[k, fc]).all():
         arr = np.unique(arr, axis=0)
-    return arr, p
+        fc = (arr[1:] != arr[:-1]).argmax(axis=1)
+    return arr, p, fc
 
 
 def _row_keys(p: int, n: int, dtype):
-    """The function giving one key per row of an array of residues mod p with n
-    columns of ``dtype``: the row's base-p code, or its bytes when p^n would
-    overflow int64. Equal rows, and only they, get equal keys."""
+    """The function giving one key per point of an array that holds the n
+    coordinates, residues mod p, along its first axis: the point's base-p
+    code in ``dtype``, or its bytes when p^n would overflow int64. Equal
+    points, and only they, get equal keys."""
     if p ** n > 2 ** 62:
-        row_bytes = np.dtype((np.void, dtype.itemsize * n))
-        return lambda rows: np.ascontiguousarray(rows).view(row_bytes).ravel()
+        return lambda cols: np.ascontiguousarray(np.moveaxis(cols, 0, -1)).view(
+            np.dtype((np.void, cols.dtype.itemsize * n)))[..., 0]
     powers = np.array([p ** i for i in range(n)], dtype=dtype)
-    return lambda rows: rows @ powers
+    return lambda cols: np.einsum("i...,i->...", cols, powers)
 
 
 def _scan_bases(arr: np.ndarray, p: int) -> np.ndarray:
@@ -176,7 +181,7 @@ def _scan_bases(arr: np.ndarray, p: int) -> np.ndarray:
     """
     n = arr.shape[1]
     ordered = np.sort(arr, axis=1)
-    _, first, counts = np.unique(_row_keys(p, n, arr.dtype)(ordered),
+    _, first, counts = np.unique(_row_keys(p, n, np.int64)(ordered.T),
                                  return_index=True, return_counts=True)
     for row, count in zip(ordered[first].tolist(), counts.tolist()):
         orbit = math.factorial(n)
@@ -204,8 +209,18 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
     and there y - x is positive. One running minimum per base gives them
     all.
 
-    Width: the scan works in int32 when p^max(n, 2) < 2^31, which bounds
-    every product of two residues and every key, and in int64 otherwise.
+    Blocks: the bases are scanned a block at a time, against every point
+    after the block's first base, with about ``_SCAN_BLOCK`` differences per
+    block. The points at or before a later base of the block get distinct
+    negative keys, which repeat nothing, so the first base of the block
+    with a repeated key, its least repeated key and that key's first two
+    points are those of a scan one base at a time. Byte keys are scanned
+    one base at a time.
+
+    Width: keys are int32 when p^max(n, 2) < 2^31 and int64 otherwise. The
+    residues are int16 when p^2 < 2^15, where the differences, their
+    products with inverses (within (p - 1)^2) and the floor-mod term fit,
+    and have the keys' width otherwise.
 
     Orbits: coordinate permutations map lines to lines. If the set is
     closed under them, take the image of a collinear triple under all
@@ -218,30 +233,46 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
 
     The violation is three distinct points of the set that are collinear.
     """
-    arr, p = _as_point_array(points, p)
+    arr, p, first_change = _as_point_array(points, p)
     if not p < MODULUS_BOUND or not is_prime(p):
         raise ValueError(f"collinearity over Z_{p} needs a prime modulus below 2**31")
     if len(arr) <= 2:
         return CapCheck(True)
     n = arr.shape[1]
-    arr = arr.astype(np.int32 if p ** max(n, 2) < 2 ** 31 else np.int64, copy=False)
+    wide = np.int32 if p ** max(n, 2) < 2 ** 31 else np.int64
+    arr = arr.astype(np.int16 if p * p < 2 ** 15 else wide, copy=False)
     # inverses mod p, by powering: with at least p points a table of all of
     # them; with fewer, each base's leads, so the cost follows the points, not p
     table = _inverses(np.arange(p, dtype=arr.dtype), p) if p <= len(arr) else None
-    key = _row_keys(p, n, arr.dtype)
-    first_change = (arr[1:] != arr[:-1]).argmax(axis=1)  # rows k and k + 1 differ there first
-    cols, index = np.ascontiguousarray(arr.T), np.arange(len(arr))  # one point per column
-    for i in _scan_bases(arr, p):
-        diff = cols[:, i + 1:] - cols[:, i, None]  # entries in (-p, p)
-        lead = diff[np.minimum.accumulate(first_change[i:]), index[:diff.shape[1]]]  # in (0, p)
+    key = _row_keys(p, n, wide)
+    cols = np.ascontiguousarray(arr.T)  # one point per column
+    budget = _SCAN_BLOCK // n if p ** n <= 2 ** 62 else 0  # points; 0 for byte keys
+    index = np.arange(max(len(arr), budget))
+    bases = _scan_bases(arr, p)
+    bases, done = bases[bases < len(arr) - 2], 0  # a triple's least point has two after it
+    while done < len(bases):
+        i = bases[done]
+        after = len(arr) - i - 1
+        block = bases[done:done + max(1, budget // after)]
+        done += len(block)
+        diff = cols[:, None, i + 1:] - cols[:, block, None]  # (n, bases, after), in (-p, p)
+        own = index[:after] < (block - i)[:, None]  # at or before the row's base
+        # each lead's column (n - 1 lies above every first change), then its flat index
+        flat = np.minimum.accumulate(np.where(own, n - 1, first_change[i:]), axis=1)
+        flat *= flat.size
+        flat += index[:flat.size].reshape(flat.shape)
+        lead = np.take(diff, flat)  # in (0, p) after the row's base
         dirs = diff * (_inverses(lead, p) if table is None else table[lead])
         dirs -= dirs // p * p  # mod p; numpy's % is several times slower than //
-        keys = key(dirs.T)
-        ordered = np.sort(keys)
-        repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+        keys = key(dirs)
+        if len(block) > 1:
+            np.copyto(keys, -1 - index[:after], where=own)
+        ordered = np.sort(keys, axis=1)
+        repeats = np.flatnonzero(ordered[:, 1:] == ordered[:, :-1])
         if len(repeats):
-            j, k = np.flatnonzero(keys == ordered[repeats[0]])[:2]
-            triple = arr[[i, i + 1 + j, i + 1 + k]].tolist()
+            row, at = divmod(repeats[0], after - 1)
+            j, k = np.flatnonzero(keys[row] == ordered[row, at])[:2]
+            triple = arr[[block[row], i + 1 + j, i + 1 + k]].tolist()
             return CapCheck(False, tuple(tuple(q) for q in triple))
     return CapCheck(True)
 

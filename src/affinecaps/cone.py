@@ -51,7 +51,9 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
 
     Returns (obj, x, det), integers over the common denominator det > 0: the
     final objective row z_j - c_j (objective value last; infeasible iff
-    obj[-1] > 0) and the original variables at the final basis.
+    obj[-1] > 0) and the original variables at the final basis. The simplex
+    stops as soon as the objective reaches 0: the artificials are then all
+    0, so every later pivot has ratio 0 and leaves x where it is.
     """
     m = len(a_rows) + 1
     # integer tableau over the common denominator det; columns: n_cols
@@ -67,7 +69,7 @@ def _phase_one(a_rows: Sequence[Sequence[int]], n_cols: int):
     basis = [n_cols + i for i in range(m)]
     det = 1
 
-    while True:
+    while tab[m, -1]:
         entering = (tab[m, :-1] > 0).nonzero()[0]
         if not len(entering):
             break

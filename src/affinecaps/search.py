@@ -443,7 +443,9 @@ def _checked_record(rec: dict, p: int) -> dict:
     that holds. Raises unless ``"p"``, if present, is a JSON integer equal to p,
     ``"size"`` and the ``"digits"`` are JSON integers, ``"admissible"`` is a JSON
     boolean and, if it is false, the witness entries are strings and the
-    refutation passes ``_refutation_holds``."""
+    refutation passes ``_refutation_holds``, or, if it is true, ``check_pair``
+    finds the digits admissible. A level's stream ends at its first
+    admissible record, so a checkpoint holds at most one per level."""
     modulus, digits, admissible = rec.get("p", p), rec["digits"], rec["admissible"]
     if type(modulus) is not int:  # a bool, a float or a string must not pass for p
         raise ValueError(f"p is not a JSON integer: {modulus!r:.40}")
@@ -455,6 +457,8 @@ def _checked_record(rec: dict, p: int) -> dict:
     if not admissible and not (all(type(v) is str for v in rec["witness"])
                                and _refutation_holds(p, digits, rec["refuted_b"], rec["witness"])):
         raise ValueError("a witness entry is not a string, or the refutation does not verify")
+    if admissible and not check_pair(digit_pair(p, digits)).admissible:
+        raise ValueError("the digit set is stored as admissible but is not")
     return rec
 
 

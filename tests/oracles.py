@@ -304,7 +304,7 @@ def recomputing_matrix_reduce(system) -> ReductionTrace:
 
 def collinear_triple_naive(points, p: int | None = None) -> CapCheck:
     """Cubic-time oracle: test linear dependence of y - x and z - x directly."""
-    arr, p = _as_point_array(points, p)
+    arr, p, _ = _as_point_array(points, p)
     pts = [tuple(q) for q in arr.tolist()]
     n_pts = len(pts)
     for i in range(n_pts):

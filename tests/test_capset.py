@@ -8,7 +8,7 @@ import pytest
 
 import golden as G
 from oracles import cone_admissible, cone_certificates, collinear_triple_naive
-from affinecaps import digit_pair
+from affinecaps import capset, digit_pair
 from affinecaps.zp import _inverses
 from affinecaps.capset import (
     DEFAULT_ENUMERATION_CAP,
@@ -142,19 +142,52 @@ def test_wide_vectors_agree_with_cubic_oracle(p, n):
         assert not assert_agrees_with_oracle(pts + [planted], p).ok
 
 
-@pytest.mark.parametrize("p, n", [(1289, 3), (1291, 3), (46337, 2), (46349, 2)],
-                         ids=["int32-n3", "int64-n3", "int32-n2", "int64-n2"])
-def test_sets_on_both_sides_of_the_int32_switch_agree_with_cubic_oracle(p, n):
+@pytest.mark.parametrize("p, n, parabola", [
+    (1289, 3, False), (1291, 3, False), (46337, 2, False), (46349, 2, False),
+    (181, 3, False), (191, 3, False), (181, 2, True), (191, 2, True),
+], ids=["int32-n3", "int64-n3", "int32-n2", "int64-n2",
+        "int16-n3", "int32-p191-n3", "int16-table", "int32-p191-table"])
+def test_sets_on_both_sides_of_the_int32_switch_agree_with_cubic_oracle(p, n, parabola):
     # p^n lies just below 2^31 for the first prime of each n and just above
-    # for the second. From x, the lead of y - x is p - 1, whose inverse is
-    # p - 1, so the scan forms the products +-(p - 1)^2.
+    # for the second, and p^2 lies just below 2^15 for 181, where the
+    # residues are int16, and just above for 191. From x, the lead of y - x
+    # is p - 1, whose inverse is p - 1, so the scan forms the products
+    # +-(p - 1)^2. Thirty points take an inverse per lead; the parabola
+    # {(t, t^2)}, which no line meets three times, has p points and takes
+    # the table of p inverses.
     x = (0,) + (p - 1,) * (n - 1)
     y = (p - 1,) + (0,) * (n - 1)
     z = tuple((a + 2 * (b - a)) % p for a, b in zip(x, y))
-    rng = random.Random(p)
-    pts = sorted({tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)} - {x, y, z})
-    assert assert_agrees_with_oracle(pts, p).ok
+    if parabola:
+        pts = sorted({(t, t * t % p) for t in range(p)} - {x, y, z})
+        assert len(pts) == p and verify_cap(pts, p).ok  # the oracle would take seconds
+    else:
+        rng = random.Random(p)
+        pts = sorted({tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)} - {x, y, z})
+        assert assert_agrees_with_oracle(pts, p).ok
     assert not assert_agrees_with_oracle(pts + [x, y, z], p).ok
+
+
+@pytest.mark.parametrize("p, n, count", [(181, 3, 181), (46337, 2, 600), (1291, 3, 1291),
+                                          (181, 9, 120)],
+                         ids=["int16-table", "int32-per-lead", "int64-table", "bytes-key"])
+def test_blocks_of_bases_find_the_triple_of_a_scan_one_base_at_a_time(monkeypatch, p, n, count):
+    # Points of the moment curve (t, t^2, ..., t^n) are a cap: three of them
+    # are affinely independent (a Vandermonde determinant). So every
+    # collinear triple holds the point planted on the line through two of
+    # them, and its base, not the least point, sits inside a block. The set
+    # spans several blocks at p = 46337 and 1291; 181^9 > 2^62 gives byte keys.
+    rng = random.Random(p * n)
+    curve = [tuple(pow(t, k, p) for k in range(1, n + 1)) for t in rng.sample(range(p), count)]
+    for _ in range(4):
+        x, y = rng.sample(sorted(curve)[1:], 2)
+        c = rng.randrange(2, p)
+        pts = curve + [tuple((a + c * (b - a)) % p for a, b in zip(x, y))]
+        blocks = verify_cap(pts, p)
+        assert not blocks.ok and blocks.violation[0] != min(pts)
+        monkeypatch.setattr(capset, "_SCAN_BLOCK", 1)  # one base per block
+        assert verify_cap(pts, p) == blocks
+        monkeypatch.undo()
 
 
 def unit_rows(n, *values):

@@ -569,7 +569,9 @@ def test_search_refuses_a_malformed_checkpoint_record(tmp_path, capsys, record):
     lambda rec: rec["witness"].pop(),
     lambda rec: rec.update(refuted_b=rec["refuted_b"] + 1),
     lambda rec: rec.update(digits=[7] + rec["digits"][1:]),
-], ids=["negative-entry", "zero-witness", "short-witness", "other-b", "digit-out-of-range"])
+    lambda rec: (rec.pop("refuted_b"), rec.pop("witness"), rec.update(admissible=True)),
+], ids=["negative-entry", "zero-witness", "short-witness", "other-b", "digit-out-of-range",
+        "flipped-to-admissible"])
 def test_search_refuses_a_stored_refutation_that_does_not_verify(tmp_path, capsys, tamper):
     run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     ckpt = tmp_path / "search_p7.checkpoint.jsonl"
