@@ -207,7 +207,8 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
     from a later point y is the least of the first differing coordinates of
     the adjacent pairs from x to y (the common prefixes of sorted strings),
     and there y - x is positive. One running minimum per base gives them
-    all.
+    all; past a block's last base, each is the minimum of the base's own
+    running minimum there and one running minimum shared by the block.
 
     Blocks: the bases are scanned a block at a time, against every point
     after the block's first base, with about ``_SCAN_BLOCK`` differences per
@@ -256,9 +257,16 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
         block = bases[done:done + max(1, budget // after)]
         done += len(block)
         diff = cols[:, None, i + 1:] - cols[:, block, None]  # (n, bases, after), in (-p, p)
-        own = index[:after] < (block - i)[:, None]  # at or before the row's base
-        # each lead's column (n - 1 lies above every first change), then its flat index
-        flat = np.minimum.accumulate(np.where(own, n - 1, first_change[i:]), axis=1)
+        span = block[-1] - i + 1  # below after; no column past it is at or before a base
+        own = index[:span] < (block - i)[:, None]  # at or before the row's base
+        # each lead's column (n - 1 lies above every first change): a running minimum
+        # over the span, past it the span's last one against one running minimum of
+        # the rest; then its flat index
+        flat = np.empty((len(block), after), first_change.dtype)
+        np.minimum.accumulate(np.where(own, n - 1, first_change[i:i + span]), axis=1,
+                              out=flat[:, :span])
+        np.minimum(flat[:, span - 1:span], np.minimum.accumulate(first_change[i + span:]),
+                   out=flat[:, span:])
         flat *= flat.size
         flat += index[:flat.size].reshape(flat.shape)
         lead = np.take(diff, flat)  # in (0, p) after the row's base
@@ -266,7 +274,7 @@ def verify_cap(points, p: int | None = None) -> CapCheck:
         dirs -= dirs // p * p  # mod p; numpy's % is several times slower than //
         keys = key(dirs)
         if len(block) > 1:
-            np.copyto(keys, -1 - index[:after], where=own)
+            np.copyto(keys[:, :span], -1 - index[:span], where=own)
         ordered = np.sort(keys, axis=1)
         repeats = np.flatnonzero(ordered[:, 1:] == ordered[:, :-1])
         if len(repeats):

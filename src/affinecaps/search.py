@@ -7,7 +7,8 @@ with every digit pinned. Levels are therefore swept with fixed = all of D;
 maximality at size l means every size-(l+1) candidate was refuted by a
 nonzero cone witness for some equation representative. An affine map of the
 digits preserves every line equation, so one candidate per affine orbit is
-enough.
+enough, and a candidate that holds an affine image of the digits a witness
+weighs inherits that witness (``_Refutations``).
 """
 
 from __future__ import annotations
@@ -462,9 +463,99 @@ def _checked_record(rec: dict, p: int) -> dict:
     return rec
 
 
+class _Refutations:
+    """The refutations of a sweep's record stream mod ``p``, each kept as the digit
+    support S of its witness, the digits of the triples it weighs, mapped by the
+    affine map that sends S's least digit to 0 and its second to 1.
+
+    A digit set D that holds an image g(S) is refuted at the same b: g maps
+    the solutions of x + by + cz = 0 to solutions, since 1 + b + c = 0, so
+    the witness moved through g balances g(S), and padded with zeros it
+    balances D, whose other digits' rows are zero. ``inherit`` writes that
+    record. The support of an inherited record holds an image of the one it
+    came from, which comes first, so it is not kept.
+    """
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+        # (b, anchored support, [(anchored triple, weight)]) in the order kept
+        self.kept: list[tuple[int, list[int], list]] = []
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+    def keep(self, rec: dict) -> None:
+        """Keep the support of ``rec`` if it is a refuted record not inherited."""
+        if rec["admissible"] or rec.get("methods") == [[rec["refuted_b"], "inherited"]]:
+            return
+        p, b = self.p, rec["refuted_b"]
+        rows = enumerate_progressions(digit_pair(p, rec["digits"]), make_line_equation(p, b)).rows
+        columns = [(row, w) for row, w in zip(rows, map(int, rec["witness"])) if w]
+        s0, s1 = sorted({d for row, _ in columns for d in row})[:2]
+        scale = pow(s1 - s0, -1, p)
+        columns = [(tuple((d - s0) * scale % p for d in row), w) for row, w in columns]
+        self.kept.append((b, sorted({d for row, _ in columns for d in row}), columns))
+        self._arrays = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The digits of all anchored supports, ascending, and the 0/1 matrix of
+        which support (row) holds which of them (column)."""
+        if self._arrays is None:
+            supports = [support for _, support, _ in self.kept]
+            digits = np.array(sorted({d for support in supports for d in support}))
+            incidence = np.zeros((len(supports), len(digits)))
+            incidence[np.repeat(np.arange(len(supports)), [len(s) for s in supports]),
+                      np.searchsorted(digits, np.concatenate(supports))] = 1
+            self._arrays = digits, incidence
+        return self._arrays
+
+    def inherit(self, digits: tuple[int, ...], i: int, u: int, v: int) -> dict:
+        """The refuted record of ``digits`` from kept refutation ``i``, through the
+        map x -> u + (v - u) x of its anchored support into the digits."""
+        p = self.p
+        b, _, columns = self.kept[i]
+        rows = enumerate_progressions(digit_pair(p, digits), make_line_equation(p, b)).rows
+        index = {row: j for j, row in enumerate(rows)}
+        witness = ["0"] * len(rows)
+        for row, w in columns:
+            witness[index[tuple((u + (v - u) * d) % p for d in row)]] = str(w)
+        return {"p": p, "size": len(digits), "digits": list(digits), "admissible": False,
+                "methods": [[b, "inherited"]], "refuted_b": b, "witness": witness}
+
+
+@lru_cache(maxsize=None)
+def _anchorings(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i != j, of k digits in ascending order."""
+    return np.nonzero(~np.eye(k, dtype=bool))
+
+
+def _first_image(refutations: _Refutations, digits: tuple[int, ...]):
+    """(i, u, v) for the first kept support i of which ``digits`` holds an image,
+    with the first anchoring u, v of the digits, ascending, that sends its
+    anchored least digit 0 to u and 1 to v; None if there is none.
+
+    Every anchoring of every support is tested at once: the images
+    u + (v - u) e of the supports' digits e (below 2**62 in int64), looked up
+    in the digits, and a count of the digits missing from each image.
+    """
+    if not refutations.kept:
+        return None
+    p = refutations.p
+    elements, incidence = refutations.arrays()
+    d = np.array(digits, np.int64)
+    iu, iv = _anchorings(len(d))
+    u = d[iu]
+    images = (u[:, None] + (d[iv] - u)[:, None] % p * elements) % p
+    held = d.take(np.searchsorted(d, images), mode="clip") == images
+    hit = incidence @ (~held).T.astype(float) == 0  # [support, anchoring]: nothing missing
+    first = int(hit.argmax())
+    if not hit.flat[first]:
+        return None
+    i, a = divmod(first, len(u))
+    return i, int(u[a]), int(d[iv[a]])
+
+
 class _Checkpoint:
     """Append-only JSONL store of the candidate verdicts mod ``p``, keyed by (size, digits),
-    that computes the missing ones, through a pool when ``workers`` is above 1, while
+    that settles the missing ones, through a pool when ``workers`` is above 1, while
     the budget lasts: at most ``room`` of them, and none once the clock is past
     ``deadline``. Stored verdicts cost no budget, so each budgeted run advances.
 
@@ -476,7 +567,7 @@ class _Checkpoint:
     and the line. A record without ``"p"`` (the earlier format) is read as
     one mod ``p``.
     Records are kept as stored, the witness as decimal strings; those
-    computed in this run are not checked again.
+    settled in this run are not checked again.
     """
 
     def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
@@ -499,22 +590,39 @@ class _Checkpoint:
                 os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None
         self.budget_exhausted, self._pool = False, None
+        self.refutations = _Refutations(p)
         if workers > 1:
             from multiprocessing import Pool
             self._pool = Pool(workers)
 
     def level(self, size: int):
         """The records of ``candidates(p, size)`` in order: the stored ones, and
-        the missing ones computed and appended.
+        the missing ones settled and appended.
+
+        A missing candidate that holds an image of a support kept from the
+        stream so far, stored or computed, at this level or below, inherits
+        its refutation; any other is checked by ``check_pair``. The pool is
+        sent only candidates that inherit nothing when sent, and a record it
+        returns gives way to an inherited one, so every number of workers,
+        every resume and every budget cut writes the same records.
 
         The budget is checked before each missing candidate: when it is
         spent, the stream ends early and sets ``budget_exhausted``.
         """
         order = candidates(self.p, size)
         pending = [d for d in order if (size, d) not in self.records]
-        work = partial(_candidate_record, self.p)
-        computed = (_in_batches(self._pool, work, pending, 2 * self.workers) if self._pool
-                    else map(work, pending))
+        hits, sent = {}, set()
+
+        def unsettled():
+            for digits in pending:
+                hits[digits] = _first_image(self.refutations, digits)
+                if hits[digits] is None:
+                    sent.add(digits)
+                    yield digits
+
+        if self._pool:
+            computed = _in_batches(self._pool, partial(_candidate_record, self.p),
+                                   unsettled(), 2 * self.workers)
         for digits in order:
             rec = self.records.get((size, digits))
             if rec is None:
@@ -522,10 +630,15 @@ class _Checkpoint:
                     self.budget_exhausted = True
                     return
                 self.room -= 1
-                rec = next(computed)
+                hit = hits.pop(digits, None) or _first_image(self.refutations, digits)
+                if hit is None or digits in sent:  # the pool returns what it is sent, in order
+                    rec = next(computed) if self._pool else _candidate_record(self.p, digits)
+                if hit is not None:
+                    rec = self.refutations.inherit(digits, *hit)
                 if self._fh:
                     self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                     self._fh.flush()
+            self.refutations.keep(rec)
             yield rec
 
     def close(self) -> None:
@@ -556,8 +669,10 @@ def max_admissible_size(
     0 and 1, since its normal form sorts no higher and also holds 0 and 1.
     The bounds after ``p`` are keywords only, and ``math.inf``, their
     default, means no bound. The budget, ``max_seconds`` and
-    ``max_candidates``, counts the candidates checked in this run, not the
+    ``max_candidates``, counts the candidates settled in this run, not the
     verdicts read back from the checkpoint; ``candidates_examined`` counts both.
+    A candidate closed by an inherited refutation uses the budget as one
+    checked by ``check_pair`` does: one candidate, and the clock is read before it.
     An exceeded budget yields a partial report (maximality not attempted),
     never an unproven claim; the same holds when the sweep is capped by
     ``max_size`` before reaching a fully refuted level, and when the
@@ -613,14 +728,16 @@ def max_admissible_size(
                         refutations, ckpt.budget_exhausted)
 
 
-def _in_batches(pool, work, pending: list, window: int):
-    """``work`` over ``pending`` in order, with at most ``window`` batches of 8 in the pool.
+def _in_batches(pool, work, pending, window: int):
+    """``work`` over the iterable ``pending`` in order, with at most ``window`` batches
+    of 8 in the pool, each drawn from ``pending`` when it is sent.
 
     A level ends at its first admissible candidate, so only the batches
     already queued run past it, not the rest of the level.
     """
     batch = 8
-    batches = (pending[i:i + batch] for i in range(0, len(pending), batch))
+    pending = iter(pending)
+    batches = iter(lambda: list(islice(pending, batch)), [])
     queue = deque(pool.map_async(work, b, batch) for b in islice(batches, window))
     while queue:
         done = queue.popleft().get()

@@ -39,6 +39,10 @@ classes of ``equation_classes``.
 dependence of y - x and z - x, the cubic-time reference for ``verify_cap``.
 It validates its input with the same ``capset._as_point_array``.
 
+``balance_matrix`` builds the balance matrix of a digit set with every digit
+pinned from its definition, with plain loops over D^3 and no code of the
+package, the reference for the witnesses a sweep writes.
+
 ``integer_oracle`` searches the box {0, ..., bound}^cols for a nonzero
 solution of A x = 0. It is incomplete (a witness may need a larger entry),
 so it can only refute triviality; tests use it beside ``minimal_witnesses``.
@@ -180,6 +184,17 @@ def all_candidates(p: int, size: int):
     if not 2 <= size <= p - 1:
         raise ValueError(f"size must lie in 2..{p - 1}, got {size}")
     return [(0, 1) + rest for rest in combinations(range(2, p), size - 2)]
+
+
+def balance_matrix(p: int, digits, b: int) -> list[list[int]]:
+    """The balance matrix of ``digits`` mod p at b, every digit pinned: a column per
+    solution (x, y, z) in D^3 of x + by + cz = 0 with c = -1 - b, other than
+    x = y = z, in lexicographic order, and a row per position 2 or 3 and digit d,
+    whose entry is 1 when d is x alone, -1 when d is that position's alone, else 0."""
+    c = (-1 - b) % p
+    cols = sorted((x, y, z) for x in digits for y in digits for z in digits
+                  if (x + b * y + c * z) % p == 0 and not x == y == z)
+    return [[(v[0] == d) - (v[pos] == d) for v in cols] for pos in (1, 2) for d in digits]
 
 
 def mirror_partner(eq: LineEquation) -> int:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The p=23 maximality sweep
 carries the `extended` marker.
 """
 
+import json
 import math
 import random
 import time
@@ -39,7 +40,7 @@ from affinecaps.capset import (
     size_estimate,
     verify_cap,
 )
-from affinecaps.search import max_admissible_size
+from affinecaps.search import max_admissible_size, render_report, verify_report_payload
 from affinecaps.zp import affine_image
 
 
@@ -186,12 +187,15 @@ def test_criterion_07_maximality_small_primes():
 
 
 @pytest.mark.extended
-def test_criterion_07_extended_p23():
+def test_criterion_07_extended_p23(tmp_path):
     t0 = time.monotonic()
-    result = max_admissible_size(23, workers=1)
+    result = max_admissible_size(23, workers=1, checkpoint_path=tmp_path / "p23.jsonl")
     elapsed = time.monotonic() - t0
     assert result.max_size == 9 and result.maximality == "proven"
     assert elapsed < 60
+    assert verify_report_payload(json.loads(render_report(result)))
+    records = [json.loads(line) for line in (tmp_path / "p23.jsonl").read_text().splitlines()]
+    assert any(rec["methods"] == [[rec.get("refuted_b"), "inherited"]] for rec in records)
     report(7, f"extended: p=23 -> 9 proven ({elapsed:.0f}s, "
               f"{result.candidates_examined} candidates)")
 

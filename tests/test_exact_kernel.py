@@ -62,6 +62,7 @@ def test_sweep_cone_systems_match_the_fraction_reference(monkeypatch):
     cone_trivial = search.cone_trivial
     monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
     monkeypatch.setattr(search, "candidates", all_candidates)  # every set with 0 and 1
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)  # no inheriting
     for p in (5, 7, 11, 13):
         max_admissible_size(p)
     assert len(systems) > 300
@@ -135,6 +136,7 @@ def test_no_numpy_scalar_leaves_the_kernel(monkeypatch):
 
     monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
     monkeypatch.setattr(search, "candidates", all_candidates)  # every set with 0 and 1
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)  # no inheriting
     for p in (5, 7, 11, 13):
         max_admissible_size(p)
     assert len(systems) > 300

@@ -11,6 +11,15 @@ of candidates that contain 0 and 1 (``oracles.all_candidates``), it still
 writes the reports and checkpoints pinned before that change; the orbit
 sweep's checkpoint is that checkpoint with only the normal forms kept, and
 its report differs only in ``candidates_examined`` and the refutations.
+
+Those pins were all written with every candidate checked by ``check_pair``.
+The ``simplex_path`` fixture still checks them that way, by patching out
+``search._first_image``, which decides whether a candidate inherits a
+refutation. The sweep's default, which does inherit, has pins of its own:
+its records of inherited refutations name the method ``inherited`` and
+carry a witness mapped from an earlier refutation, so its checkpoints
+differ, and so do its reports once a refuted final-level candidate
+inherits a witness other than the one the simplex finds (p = 11 and 13).
 """
 
 import hashlib
@@ -46,6 +55,16 @@ FULL_STREAM_REPORT_SHA256 = {
     7: "1701584ab1c55b91a29fd248a7d2670541950553962f8710dfe27676a0872dd8",
     11: "a1ea5531f47eff04f7fe49f94718f7cb6288d4cee160b177a20a5e05321bdff8",
     13: "d57a011ddc38b92ace5fb63163f8f63666a02bd0b3cbdd545cfc3901a5d75c61",
+}
+
+# the same, with the sweep's default that closes a candidate by an inherited refutation;
+# no candidate of p = 5 inherits, and the one of p = 7 inherits the witness that the
+# simplex finds, so those two reports are the ones above
+INHERITING_REPORT_SHA256 = {
+    5: "7603f96ea20b010d69360b06e0111c33b4cb08c4705287bd6e010efea3bda2dd",
+    7: "abd77d7387da208c8c5c75b2a9c5d2f5b4ac9aa8374a7a34c2f383c1481d2c4c",
+    11: "b00e5a10efced42ccc428c4ff25819119340e9277aa4a15f560bf956bb8fe7ee",
+    13: "25b82955be7a251eef53cc3e2fe27c27d928b9bd84a043c45a7c0f24c8ec331f",
 }
 
 # store_certificate names of the check_pair outcomes of each published pair, in order
@@ -104,6 +123,12 @@ SWEEP_CHECKPOINT_SHA256 = {
     11: "743adebe84bc29c8cb5254544053b49a1268012b9d00cc10eb358c15dde48d7f",
 }
 
+# the same, with the sweep's default that closes a candidate by an inherited refutation
+INHERITING_CHECKPOINT_SHA256 = {
+    7: "9ce0eb68e40ab72db5af654d4927d4dad26b58610da41aaa9acb7f65d710b006",
+    11: "23547f01dab623893f34e1ad519ce8f0d09e6f87ccea092f61bf73e4a95054d8",
+}
+
 # the same, with the sweep run on oracles.all_candidates
 FULL_STREAM_CHECKPOINT_SHA256 = {
     7: "2c514bf5e7a4f800f0fba806d6700775241ad0761e32e6f1d1d7b2701b531f68",
@@ -120,6 +145,12 @@ CERT_NAMED_CHECKPOINT_SHA256 = {
 
 
 @pytest.fixture
+def simplex_path(monkeypatch):
+    """Check every missing candidate by ``check_pair``, as before inherited refutations."""
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)
+
+
+@pytest.fixture
 def full_stream(monkeypatch):
     """Sweep every candidate that contains 0 and 1, as before the orbit candidates."""
     monkeypatch.setattr(search, "candidates", all_candidates)
@@ -130,7 +161,7 @@ def sha256(data) -> str:
 
 
 @pytest.mark.parametrize("p", sorted(REPORT_SHA256))
-def test_sweep_report_bytes_are_pinned(p):
+def test_sweep_report_bytes_are_pinned(simplex_path, p):
     assert sha256(render_report(max_admissible_size(p))) == REPORT_SHA256[p]
 
 
@@ -146,7 +177,7 @@ def test_published_pair_certificate_names_are_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("p", sorted(SWEEP_CERTIFICATES))
-def test_sweep_certificate_names_and_checkpoint_are_pinned(tmp_path, p):
+def test_sweep_certificate_names_and_checkpoint_are_pinned(tmp_path, simplex_path, p):
     for workers in (1, 2):
         checkpoint_path, cert_dir = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}"
         report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers,
@@ -161,7 +192,7 @@ def test_sweep_certificate_names_and_checkpoint_are_pinned(tmp_path, p):
 
 
 @pytest.mark.parametrize("p", sorted(FULL_STREAM_REPORT_SHA256))
-def test_the_full_stream_sweep_writes_the_earlier_pins(tmp_path, full_stream, p):
+def test_the_full_stream_sweep_writes_the_earlier_pins(tmp_path, simplex_path, full_stream, p):
     checkpoint_path = tmp_path / "full.jsonl"
     report = render_report(max_admissible_size(p, checkpoint_path=checkpoint_path))
     assert sha256(report) == FULL_STREAM_REPORT_SHA256[p]
@@ -173,7 +204,7 @@ def test_the_full_stream_sweep_writes_the_earlier_pins(tmp_path, full_stream, p)
 
 @pytest.mark.parametrize("p", sorted(SWEEP_CHECKPOINT_SHA256))
 def test_the_checkpoint_is_the_full_stream_one_with_only_normal_forms_kept(
-        tmp_path, monkeypatch, p):
+        tmp_path, simplex_path, monkeypatch, p):
     full, orbits = tmp_path / "full.jsonl", tmp_path / "orbits.jsonl"
     max_admissible_size(p, checkpoint_path=orbits)
     with monkeypatch.context() as patch:
@@ -203,7 +234,8 @@ def with_certificate_names(checkpoint: bytes, p: int, cert_dir) -> bytes:
 
 
 @pytest.mark.parametrize("p", sorted(SWEEP_CERTIFICATES))
-def test_the_checkpoint_is_the_cert_named_one_without_its_names(tmp_path, monkeypatch, p):
+def test_the_checkpoint_is_the_cert_named_one_without_its_names(
+        tmp_path, simplex_path, monkeypatch, p):
     fresh = tmp_path / "fresh.jsonl"
     with monkeypatch.context() as patch:
         patch.setattr(search, "candidates", all_candidates)
@@ -257,7 +289,7 @@ FULL_STREAM_BUDGET_CUTS = ([(7, {"max_candidates": k}, min(k, 12)) for k in rang
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("p, budget, examined", BUDGET_CUTS)
 def test_every_budget_cut_of_the_orbit_sweep_resumes_to_the_pinned_report(
-        tmp_path, p, budget, examined, workers):
+        tmp_path, simplex_path, p, budget, examined, workers):
     assert_the_cut_resumes(tmp_path / "cut.jsonl", p, budget, examined, workers,
                            REPORT_SHA256[p])
 
@@ -265,14 +297,15 @@ def test_every_budget_cut_of_the_orbit_sweep_resumes_to_the_pinned_report(
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("p, budget, examined", FULL_STREAM_BUDGET_CUTS)
 def test_every_budget_cut_resumes_to_the_pinned_report(
-        tmp_path, full_stream, p, budget, examined, workers):
+        tmp_path, simplex_path, full_stream, p, budget, examined, workers):
     assert_the_cut_resumes(tmp_path / "cut.jsonl", p, budget, examined, workers,
                            FULL_STREAM_REPORT_SHA256[p])
 
 
 @pytest.mark.parametrize("stream, p, k, total", [
     ("orbits", 7, 1, 4), ("orbits", 11, 4, 10), ("full", 11, 64, 130)])
-def test_each_budgeted_run_checks_k_more_candidates(tmp_path, monkeypatch, stream, p, k, total):
+def test_each_budgeted_run_checks_k_more_candidates(
+        tmp_path, simplex_path, monkeypatch, stream, p, k, total):
     if stream == "full":
         monkeypatch.setattr(search, "candidates", all_candidates)
     pinned = (REPORT_SHA256 if stream == "orbits" else FULL_STREAM_REPORT_SHA256)[p]
@@ -285,3 +318,56 @@ def test_each_budgeted_run_checks_k_more_candidates(tmp_path, monkeypatch, strea
     report = max_admissible_size(p, checkpoint_path=checkpoint_path, max_candidates=k)
     assert report.candidates_examined == total and not report.budget_exhausted
     assert sha256(render_report(report)) == pinned
+
+
+@pytest.mark.parametrize("p", sorted(INHERITING_REPORT_SHA256))
+def test_the_inheriting_sweep_report_bytes_are_pinned(p):
+    report = render_report(max_admissible_size(p))
+    assert sha256(report) == INHERITING_REPORT_SHA256[p]
+    assert verify_report_payload(json.loads(report))
+
+
+@pytest.mark.parametrize("p", sorted(INHERITING_CHECKPOINT_SHA256))
+def test_the_inheriting_sweep_checkpoint_and_certificate_names_are_pinned(tmp_path, p):
+    for workers in (1, 2):
+        checkpoint_path, cert_dir = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}"
+        report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers,
+                                     cert_dir=cert_dir)
+        assert sha256(render_report(report)) == INHERITING_REPORT_SHA256[p], workers
+        assert sha256(checkpoint_path.read_bytes()) == INHERITING_CHECKPOINT_SHA256[p], workers
+        # the witness bundle is the simplex path's: inheritance closes refuted sets only
+        assert sorted(f.stem for f in cert_dir.iterdir()) == list(SWEEP_CERTIFICATES[p])
+    records = [json.loads(line) for line in checkpoint_path.read_text().splitlines()]
+    assert any(rec["methods"] == [[rec["refuted_b"], "inherited"]]
+               for rec in records if not rec["admissible"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p, budget, examined", BUDGET_CUTS)
+def test_every_budget_cut_of_the_inheriting_sweep_resumes_to_its_pinned_bytes(
+        tmp_path, p, budget, examined, workers):
+    checkpoint_path = tmp_path / "cut.jsonl"
+    assert_the_cut_resumes(checkpoint_path, p, budget, examined, workers,
+                           INHERITING_REPORT_SHA256[p])
+    assert sha256(checkpoint_path.read_bytes()) == INHERITING_CHECKPOINT_SHA256[p]
+
+
+@pytest.mark.parametrize("p", sorted(SWEEP_CHECKPOINT_SHA256))
+def test_every_prefix_of_a_simplex_path_checkpoint_resumes_to_a_report_that_verifies(
+        tmp_path, monkeypatch, p):
+    simplex = tmp_path / "simplex.jsonl"
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_first_image", lambda refutations, digits: None)
+        max_admissible_size(p, checkpoint_path=simplex)
+    assert sha256(simplex.read_bytes()) == SWEEP_CHECKPOINT_SHA256[p]
+    lines = simplex.read_bytes().splitlines(keepends=True)
+    for kept in range(len(lines) + 1):
+        cut = tmp_path / f"cut{kept}.jsonl"
+        cut.write_bytes(b"".join(lines[:kept]))
+        report = render_report(max_admissible_size(p, checkpoint_path=cut))
+        assert verify_report_payload(json.loads(report)), kept
+        assert cut.read_bytes().splitlines(keepends=True)[:kept] == lines[:kept]
+        if kept == 0:
+            assert sha256(report) == INHERITING_REPORT_SHA256[p]
+    # every verdict is read back, so the report is the simplex path's
+    assert sha256(report) == REPORT_SHA256[p]

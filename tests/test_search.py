@@ -9,9 +9,18 @@ from types import SimpleNamespace
 import pytest
 
 import golden as G
-from oracles import all_candidates, cone_admissible, matrix_first_check_pair
+from oracles import all_candidates, balance_matrix, cone_admissible, matrix_first_check_pair
 from traffic import pipeline_pairs
-from affinecaps import Prime, digit_pair, make_line_equation, normalize_digit_set, search
+from affinecaps import (
+    Prime,
+    build_constraint_system,
+    cone_trivial,
+    digit_pair,
+    enumerate_progressions,
+    make_line_equation,
+    normalize_digit_set,
+    search,
+)
 from affinecaps.capset import verify_cap
 from affinecaps.search import (
     candidates,
@@ -80,6 +89,7 @@ def record_results(monkeypatch, *names):
 
 def test_the_matrix_rule_runs_only_on_a_trivial_cone(monkeypatch):
     results = record_results(monkeypatch, "digit_reduce", "cone_trivial", "matrix_reduce")
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)  # no inheriting
     for p in (11, 13):
         max_admissible_size(p)
     stuck = sum(not trace.reduced for trace in results["digit_reduce"])
@@ -305,11 +315,107 @@ def test_sweep_lowers_workers_to_the_cpu_count(monkeypatch):
 
 def test_a_level_that_ends_early_stops_feeding_the_pool(monkeypatch):
     pool = in_process_pool(monkeypatch, cpus=2)
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)  # no inheriting
     report = max_admissible_size(17, workers=2, min_size=7, max_size=7)
     assert report.max_size == 7 and report.candidates_examined == 10
     # the batch of 8 being read and two more per worker, out of the level's 75 candidates
     assert pool.fed == list(candidates(17, 7))[:len(pool.fed)]
     assert report.candidates_examined <= len(pool.fed) < report.candidates_examined + 5 * 8
+
+
+def test_the_pool_is_fed_only_candidates_that_inherit_nothing_when_sent(tmp_path, monkeypatch):
+    serial = tmp_path / "serial.jsonl"
+    report = render_report(max_admissible_size(17, checkpoint_path=serial))
+    pool = in_process_pool(monkeypatch, cpus=2)
+    pooled = tmp_path / "pooled.jsonl"
+    assert render_report(max_admissible_size(17, workers=2, checkpoint_path=pooled)) == report
+    assert pooled.read_bytes() == serial.read_bytes()
+    records = [json.loads(line) for line in serial.read_text().splitlines()]
+    inherited = [tuple(rec["digits"]) for rec in records
+                 if rec["methods"] == [[rec.get("refuted_b"), "inherited"]]]
+    stream = [digits for size in range(2, 9) for digits in candidates(17, size)]
+    # in order, each candidate at most once, every computed record among them, and
+    # few inherited ones: those sent before the support they inherit was kept
+    assert sorted(pool.fed, key=stream.index) == pool.fed and len(set(pool.fed)) == len(pool.fed)
+    assert {tuple(rec["digits"]) for rec in records} - set(inherited) <= set(pool.fed)
+    assert len(inherited) > 90 and len(set(pool.fed) & set(inherited)) < 5 * 8
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_every_inherited_witness_balances_an_independently_built_matrix(tmp_path, p):
+    max_admissible_size(p, checkpoint_path=tmp_path / "sweep.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    refuted = [rec for rec in records if not rec["admissible"]]
+    inherited = [rec for rec in refuted if rec["methods"] == [[rec["refuted_b"], "inherited"]]]
+    assert len(inherited) == {13: 8, 17: 102}[p]
+    for rec in inherited:
+        assert set(rec) == set(refuted[0])  # the shape of a computed record
+        witness = [int(v) for v in rec["witness"]]
+        matrix = balance_matrix(p, rec["digits"], rec["refuted_b"])
+        assert len(witness) == len(matrix[0]) and min(witness) >= 0 and any(witness), rec
+        assert all(sum(a * v for a, v in zip(row, witness)) == 0 for row in matrix), rec
+
+
+def first_image_by_loops(refutations, digits):
+    """``search._first_image`` by plain loops: kept supports in order, then the digits
+    u and v, ascending, that the anchored digits 0 and 1 go to."""
+    p, held = refutations.p, set(digits)
+    for i, (_, support, _) in enumerate(refutations.kept):
+        for u in digits:
+            for v in digits:
+                if u != v and all((u + (v - u) * e) % p in held for e in support):
+                    return i, u, v
+    return None
+
+
+def assert_inherits_like_the_loops(refutations, digits):
+    """Whether ``digits`` inherits; its record, if any, is checked against the oracle."""
+    hit = search._first_image(refutations, digits)
+    assert hit == first_image_by_loops(refutations, digits), digits
+    if hit is None:
+        return False
+    rec = refutations.inherit(digits, *hit)
+    b, witness = rec["refuted_b"], [int(v) for v in rec["witness"]]
+    assert rec["methods"] == [[b, "inherited"]] and b == refutations.kept[hit[0]][0]
+    matrix = balance_matrix(refutations.p, digits, b)
+    assert len(witness) == len(matrix[0]) and min(witness) >= 0 and any(witness), digits
+    assert all(sum(a * v for a, v in zip(row, witness)) == 0 for row in matrix), digits
+    return True
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_first_image_is_the_first_support_and_anchoring_found_by_loops(
+        tmp_path, monkeypatch, p):
+    # every refutation of the sweep computed by the simplex, and all of them kept
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)
+    max_admissible_size(p, checkpoint_path=tmp_path / "sweep.jsonl")
+    monkeypatch.undo()
+    refutations = search._Refutations(p)
+    for line in (tmp_path / "sweep.jsonl").read_text().splitlines():
+        refutations.keep(json.loads(line))
+    assert len(refutations.kept) > 20
+    rng = random.Random(p)
+    outcomes = [assert_inherits_like_the_loops(
+        refutations, tuple(sorted(rng.sample(range(p), rng.randint(4, 9)))))
+        for _ in range(300)]
+    assert 30 < sum(outcomes) < 270
+
+
+def test_a_refutation_is_inherited_mod_the_largest_prime_modulus():
+    # the cube roots of unity {1, w, w^2} refute x + wy + w^2z = 0: its solutions
+    # (1, w, w^2), (w, w^2, 1) and (w^2, 1, w) hold each root once in each position
+    p = 2 ** 31 - 1
+    b = pow(7, (p - 1) // 3, p)
+    support = tuple(sorted({1, b, b * b % p}))
+    table = enumerate_progressions(digit_pair(p, support), make_line_equation(p, b))
+    witness = cone_trivial(build_constraint_system(table)).witness
+    assert witness is not None and len(support) == 3
+    refutations = search._Refutations(p)
+    refutations.keep({"digits": list(support), "admissible": False, "refuted_b": b,
+                      "methods": [[b, "cone"]], "witness": [str(v) for v in witness]})
+    image = {(1234567891 * d + p - 5) % p for d in support}
+    assert assert_inherits_like_the_loops(refutations, tuple(sorted(image | {17, 2 ** 30})))
+    assert not assert_inherits_like_the_loops(refutations, tuple(sorted(image)[1:]) + (p - 1,))
 
 
 def test_a_resumed_sweep_writes_the_certificates_of_a_fresh_one(tmp_path):
