@@ -121,7 +121,6 @@ def cmd_search(args) -> int:
     report = max_admissible_size(
         args.p,
         checkpoint_path=out / f"search_p{args.p}.checkpoint.jsonl",
-        workers=args.workers,
         cert_dir=out / "certs",
         min_size=args.lmin,
         max_size=args.lmax,
@@ -248,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lmax", type=int, default=math.inf, help="largest digit-set size to try")
     sp.add_argument("--budget-seconds", type=float, default=math.inf)
     sp.add_argument("--budget-candidates", type=int, default=math.inf)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("verify", help="build and/or verify a cap point set")

@@ -19,10 +19,9 @@ import math
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -472,8 +471,8 @@ class _Refutations:
     the solutions of x + by + cz = 0 to solutions, since 1 + b + c = 0, so
     the witness moved through g balances g(S), and padded with zeros it
     balances D, whose other digits' rows are zero. ``inherit`` writes that
-    record. The support of an inherited record holds an image of the one it
-    came from, which comes first, so it is not kept.
+    record. A support that holds an image of one kept before it is never the
+    first found, so it is not kept; the support of an inherited record is one.
     """
 
     def __init__(self, p: int) -> None:
@@ -483,7 +482,7 @@ class _Refutations:
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def keep(self, rec: dict) -> None:
-        """Keep the support of ``rec`` if it is a refuted record not inherited."""
+        """Keep the support of a refuted record not inherited, unless it holds a kept one."""
         if rec["admissible"] or rec.get("methods") == [[rec["refuted_b"], "inherited"]]:
             return
         p, b = self.p, rec["refuted_b"]
@@ -492,8 +491,10 @@ class _Refutations:
         s0, s1 = sorted({d for row, _ in columns for d in row})[:2]
         scale = pow(s1 - s0, -1, p)
         columns = [(tuple((d - s0) * scale % p for d in row), w) for row, w in columns]
-        self.kept.append((b, sorted({d for row, _ in columns for d in row}), columns))
-        self._arrays = None
+        support = sorted({d for row, _ in columns for d in row})
+        if _first_image(self, tuple(support)) is None:
+            self.kept.append((b, support, columns))
+            self._arrays = None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The digits of all anchored supports, ascending, and the 0/1 matrix of
@@ -555,9 +556,9 @@ def _first_image(refutations: _Refutations, digits: tuple[int, ...]):
 
 class _Checkpoint:
     """Append-only JSONL store of the candidate verdicts mod ``p``, keyed by (size, digits),
-    that settles the missing ones, through a pool when ``workers`` is above 1, while
-    the budget lasts: at most ``room`` of them, and none once the clock is past
-    ``deadline``. Stored verdicts cost no budget, so each budgeted run advances.
+    that settles the missing ones while the budget lasts: at most ``room`` of them,
+    and none once the clock is past ``deadline``. Stored verdicts cost no budget,
+    so each budgeted run advances.
 
     A kill can tear only the last line, which then lacks its newline: that
     line is dropped and cut from the file before appending, and its
@@ -570,9 +571,9 @@ class _Checkpoint:
     settled in this run are not checked again.
     """
 
-    def __init__(self, path, p: int, workers: int, room: float, deadline: float) -> None:
+    def __init__(self, path, p: int, room: float, deadline: float) -> None:
         self.path = Path(path) if path else None
-        self.p, self.workers, self.room, self.deadline = p, workers, room, deadline
+        self.p, self.room, self.deadline = p, room, deadline
         self.records: dict[tuple[int, tuple[int, ...]], dict] = {}
         if self.path and self.path.exists():
             data = self.path.read_bytes()
@@ -589,11 +590,8 @@ class _Checkpoint:
             if complete < len(data):
                 os.truncate(self.path, complete)
         self._fh = self.path.open("a") if self.path else None
-        self.budget_exhausted, self._pool = False, None
+        self.budget_exhausted = False
         self.refutations = _Refutations(p)
-        if workers > 1:
-            from multiprocessing import Pool
-            self._pool = Pool(workers)
 
     def level(self, size: int):
         """The records of ``candidates(p, size)`` in order: the stored ones, and
@@ -601,39 +599,24 @@ class _Checkpoint:
 
         A missing candidate that holds an image of a support kept from the
         stream so far, stored or computed, at this level or below, inherits
-        its refutation; any other is checked by ``check_pair``. The pool is
-        sent only candidates that inherit nothing when sent, and a record it
-        returns gives way to an inherited one, so every number of workers,
-        every resume and every budget cut writes the same records.
+        its refutation; any other is checked by ``check_pair``. Each record
+        depends only on the records before it, so every resume and every
+        budget cut writes the same records.
 
         The budget is checked before each missing candidate: when it is
         spent, the stream ends early and sets ``budget_exhausted``.
         """
-        order = candidates(self.p, size)
-        pending = [d for d in order if (size, d) not in self.records]
-        hits, sent = {}, set()
-
-        def unsettled():
-            for digits in pending:
-                hits[digits] = _first_image(self.refutations, digits)
-                if hits[digits] is None:
-                    sent.add(digits)
-                    yield digits
-
-        if self._pool:
-            computed = _in_batches(self._pool, partial(_candidate_record, self.p),
-                                   unsettled(), 2 * self.workers)
-        for digits in order:
+        for digits in candidates(self.p, size):
             rec = self.records.get((size, digits))
             if rec is None:
                 if self.room <= 0 or time.monotonic() > self.deadline:
                     self.budget_exhausted = True
                     return
                 self.room -= 1
-                hit = hits.pop(digits, None) or _first_image(self.refutations, digits)
-                if hit is None or digits in sent:  # the pool returns what it is sent, in order
-                    rec = next(computed) if self._pool else _candidate_record(self.p, digits)
-                if hit is not None:
+                hit = _first_image(self.refutations, digits)
+                if hit is None:
+                    rec = _candidate_record(self.p, digits)
+                else:
                     rec = self.refutations.inherit(digits, *hit)
                 if self._fh:
                     self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -644,9 +627,6 @@ class _Checkpoint:
     def close(self) -> None:
         if self._fh:
             self._fh.close()
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
 
 
 def max_admissible_size(
@@ -677,14 +657,14 @@ def max_admissible_size(
     never an unproven claim; the same holds when the sweep is capped by
     ``max_size`` before reaching a fully refuted level, and when the
     first level it sweeps is already fully refuted. A ``max_size``
-    above p - 1 is lowered to p - 1, and ``workers`` above the CPU count
-    to that count; ``min_size`` outside 2..p-1, a ``max_size`` below
-    ``min_size`` or NaN, fewer than one worker, a negative or NaN budget, a
-    size or candidate bound that is neither an int nor ``math.inf`` and a
-    checkpoint holding verdicts of another modulus raise ValueError
-    before any work starts. ``cert_dir`` receives the certificates of the
-    witness bundle; the refutations live in the report, which
-    ``verify_report_payload`` checks.
+    above p - 1 is lowered to p - 1; ``min_size`` outside 2..p-1, a
+    ``max_size`` below ``min_size`` or NaN, fewer than one worker, a negative
+    or NaN budget, a size or candidate bound that is neither an int nor
+    ``math.inf`` and a checkpoint holding verdicts of another modulus raise
+    ValueError before any work starts. ``cert_dir`` receives the
+    certificates of the witness bundle; the refutations live in the report,
+    which ``verify_report_payload`` checks. ``workers`` is checked and changes
+    nothing else: almost every candidate inherits, so the sweep runs in this process.
     """
     p = Prime(p)
     if not 2 <= min_size <= p - 1:
@@ -693,7 +673,6 @@ def max_admissible_size(
         raise ValueError(f"max_size must be at least min_size {min_size}, got {max_size}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
     for name, limit in (("seconds", max_seconds), ("candidates", max_candidates)):
         if not limit >= 0:  # NaN fails too
             raise ValueError(f"the {name} budget must not be negative, got {limit}")
@@ -701,8 +680,7 @@ def max_admissible_size(
                         ("max_candidates", max_candidates)):
         if type(bound) is not int and bound != math.inf:
             raise ValueError(f"{name} must be an int or math.inf, got {bound!r}")
-    ckpt = _Checkpoint(checkpoint_path, int(p), workers, max_candidates,
-                       time.monotonic() + max_seconds)
+    ckpt = _Checkpoint(checkpoint_path, int(p), max_candidates, time.monotonic() + max_seconds)
     examined, best, refuted = 0, None, []
     try:
         for size in range(min_size, min(max_size, p - 1) + 1):
@@ -726,23 +704,6 @@ def max_admissible_size(
                                    tuple(int(v) for v in r["witness"])) for r in refuted)
     return SearchReport(int(p), witness, examined, "proven" if refutations else "not-attempted",
                         refutations, ckpt.budget_exhausted)
-
-
-def _in_batches(pool, work, pending, window: int):
-    """``work`` over the iterable ``pending`` in order, with at most ``window`` batches
-    of 8 in the pool, each drawn from ``pending`` when it is sent.
-
-    A level ends at its first admissible candidate, so only the batches
-    already queued run past it, not the rest of the level.
-    """
-    batch = 8
-    pending = iter(pending)
-    batches = iter(lambda: list(islice(pending, batch)), [])
-    queue = deque(pool.map_async(work, b, batch) for b in islice(batches, window))
-    while queue:
-        done = queue.popleft().get()
-        queue.extend(pool.map_async(work, b, batch) for b in islice(batches, 1))
-        yield from done
 
 
 def minimize_fixed_digits(digits, p: int) -> PairVerdict:

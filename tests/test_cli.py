@@ -438,12 +438,19 @@ def test_a_search_report_write_that_fails_partway_keeps_the_previous_report(
 
 
 @pytest.mark.parametrize("options", [
-    ("--workers", "0"), ("--workers", "-1"), ("--lmin", "0"), ("--lmin", "9"),
-    ("--lmax", "1"), ("--lmin", "5", "--lmax", "4"),
+    ("--lmin", "0"), ("--lmin", "9"), ("--lmax", "1"), ("--lmin", "5", "--lmax", "4"),
 ])
-def test_search_rejects_bad_sizes_and_worker_counts(tmp_path, capsys, options):
+def test_search_rejects_bad_sizes(tmp_path, capsys, options):
     code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7", *options)
     assert code == 2 and err.startswith("error: ")
+    assert not (tmp_path / "search_p7.json").exists()
+
+
+def test_search_takes_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--out", str(tmp_path), "search", "-p", "7", "--workers", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (tmp_path / "search_p7.json").exists()
 
 

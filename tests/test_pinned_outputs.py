@@ -129,6 +129,16 @@ INHERITING_CHECKPOINT_SHA256 = {
     11: "23547f01dab623893f34e1ad519ce8f0d09e6f87ccea092f61bf73e4a95054d8",
 }
 
+# SHA-256 of the report and of the checkpoint that the default sweep writes when it
+# resumes the simplex path's checkpoint cut after its first 40 lines, recorded when the
+# support of every computed refutation was kept, and the number of supports kept now
+RESUMED_SIMPLEX_CUT = {
+    17: ("754694a28f50bfb7f7bb972f51b64cfe47de28da9061eca80c6ed5805c210f5d",
+         "efeb3fb152a2768665a88674f4138945431492f7d0e4dc8c9d671110e416500a", 4),
+    19: ("83d9e0a817e10ca2e21976a45e310a6ce37766810d5bd6856943979968199d96",
+         "d1be66bdd5cde297c9c55ee41e6759140b34244a20a8e9e84a321966c49e8c92", 1),
+}
+
 # the same, with the sweep run on oracles.all_candidates
 FULL_STREAM_CHECKPOINT_SHA256 = {
     7: "2c514bf5e7a4f800f0fba806d6700775241ad0761e32e6f1d1d7b2701b531f68",
@@ -371,3 +381,23 @@ def test_every_prefix_of_a_simplex_path_checkpoint_resumes_to_a_report_that_veri
             assert sha256(report) == INHERITING_REPORT_SHA256[p]
     # every verdict is read back, so the report is the simplex path's
     assert sha256(report) == REPORT_SHA256[p]
+
+
+@pytest.mark.parametrize("p", sorted(RESUMED_SIMPLEX_CUT))
+def test_a_resumed_simplex_path_cut_keeps_no_support_that_holds_an_earlier_one(
+        tmp_path, monkeypatch, p):
+    cut = tmp_path / "cut.jsonl"
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_first_image", lambda refutations, digits: None)
+        max_admissible_size(p, checkpoint_path=cut)
+    cut.write_bytes(b"".join(cut.read_bytes().splitlines(keepends=True)[:40]))
+    report = render_report(max_admissible_size(p, checkpoint_path=cut))
+    report_sha, checkpoint_sha, supports = RESUMED_SIMPLEX_CUT[p]
+    assert (sha256(report), sha256(cut.read_bytes())) == (report_sha, checkpoint_sha)
+    records = [json.loads(line) for line in cut.read_text().splitlines()]
+    computed = [rec for rec in records if not rec["admissible"]
+                and rec["methods"] != [[rec["refuted_b"], "inherited"]]]
+    refutations = search._Refutations(p)
+    for rec in records:
+        refutations.keep(rec)
+    assert len(refutations.kept) == supports and 8 * supports < len(computed)

@@ -273,72 +273,19 @@ def test_sweep_deterministic_reports():
     assert a == b
 
 
-def test_sweep_worker_pool_matches_sequential():
-    seq = render_report(max_admissible_size(7))
-    par = render_report(max_admissible_size(7, workers=2))
-    assert seq == par
+def test_two_workers_write_the_bytes_of_one_and_start_no_process(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep started a process pool")
 
-
-def in_process_pool(monkeypatch, cpus):
-    """Stand in for ``multiprocessing.Pool``; returns the pool sizes asked for and the
-    candidates fed to the pool."""
-    calls = SimpleNamespace(sizes=[], fed=[])
-
-    class Pool:
-        def __init__(self, processes):
-            calls.sizes.append(processes)
-
-        def map_async(self, work, items, chunksize):
-            calls.fed.extend(items)
-            return SimpleNamespace(get=lambda: [work(item) for item in items])
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
-    return calls
-
-
-def test_sweep_lowers_workers_to_the_cpu_count(monkeypatch):
-    pool = in_process_pool(monkeypatch, cpus=3)
-    serial = render_report(max_admissible_size(7))
-    assert render_report(max_admissible_size(7, workers=100_000)) == serial
-    assert pool.sizes == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
-    assert render_report(max_admissible_size(7, workers=100_000)) == serial
-    assert pool.sizes == [3]
-
-
-def test_a_level_that_ends_early_stops_feeding_the_pool(monkeypatch):
-    pool = in_process_pool(monkeypatch, cpus=2)
-    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)  # no inheriting
-    report = max_admissible_size(17, workers=2, min_size=7, max_size=7)
-    assert report.max_size == 7 and report.candidates_examined == 10
-    # the batch of 8 being read and two more per worker, out of the level's 75 candidates
-    assert pool.fed == list(candidates(17, 7))[:len(pool.fed)]
-    assert report.candidates_examined <= len(pool.fed) < report.candidates_examined + 5 * 8
-
-
-def test_the_pool_is_fed_only_candidates_that_inherit_nothing_when_sent(tmp_path, monkeypatch):
-    serial = tmp_path / "serial.jsonl"
-    report = render_report(max_admissible_size(17, checkpoint_path=serial))
-    pool = in_process_pool(monkeypatch, cpus=2)
-    pooled = tmp_path / "pooled.jsonl"
-    assert render_report(max_admissible_size(17, workers=2, checkpoint_path=pooled)) == report
-    assert pooled.read_bytes() == serial.read_bytes()
-    records = [json.loads(line) for line in serial.read_text().splitlines()]
-    inherited = [tuple(rec["digits"]) for rec in records
-                 if rec["methods"] == [[rec.get("refuted_b"), "inherited"]]]
-    stream = [digits for size in range(2, 9) for digits in candidates(17, size)]
-    # in order, each candidate at most once, every computed record among them, and
-    # few inherited ones: those sent before the support they inherit was kept
-    assert sorted(pool.fed, key=stream.index) == pool.fed and len(set(pool.fed)) == len(pool.fed)
-    assert {tuple(rec["digits"]) for rec in records} - set(inherited) <= set(pool.fed)
-    assert len(inherited) > 90 and len(set(pool.fed) & set(inherited)) < 5 * 8
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    outputs = {}
+    for workers in (1, 2):
+        checkpoint_path, cert_dir = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}"
+        report = render_report(max_admissible_size(
+            17, checkpoint_path=checkpoint_path, workers=workers, cert_dir=cert_dir))
+        certificates = {f.name: f.read_bytes() for f in cert_dir.iterdir()}
+        outputs[workers] = report, checkpoint_path.read_bytes(), certificates
+    assert outputs[2] == outputs[1]
 
 
 @pytest.mark.parametrize("p", [13, 17])
@@ -386,19 +333,53 @@ def assert_inherits_like_the_loops(refutations, digits):
 @pytest.mark.parametrize("p", [17, 19])
 def test_first_image_is_the_first_support_and_anchoring_found_by_loops(
         tmp_path, monkeypatch, p):
-    # every refutation of the sweep computed by the simplex, and all of them kept
+    # every refutation of the sweep computed by the simplex, and all of them kept,
+    # those holding an image of one kept before them too
     monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)
     max_admissible_size(p, checkpoint_path=tmp_path / "sweep.jsonl")
-    monkeypatch.undo()
     refutations = search._Refutations(p)
     for line in (tmp_path / "sweep.jsonl").read_text().splitlines():
         refutations.keep(json.loads(line))
+    monkeypatch.undo()
     assert len(refutations.kept) > 20
     rng = random.Random(p)
     outcomes = [assert_inherits_like_the_loops(
         refutations, tuple(sorted(rng.sample(range(p), rng.randint(4, 9)))))
         for _ in range(300)]
     assert 30 < sum(outcomes) < 270
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_keep_holds_the_supports_that_hold_no_image_of_one_kept_before(
+        tmp_path, monkeypatch, p):
+    # the simplex path's supports, every one kept, then filtered in order by the loops
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)
+    max_admissible_size(p, checkpoint_path=tmp_path / "sweep.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    every = search._Refutations(p)
+    for rec in records:
+        every.keep(rec)
+    monkeypatch.undo()
+    expected = []
+    for entry in every.kept:
+        if first_image_by_loops(SimpleNamespace(p=p, kept=expected), tuple(entry[1])) is None:
+            expected.append(entry)
+    refutations = search._Refutations(p)
+    for rec in records:
+        refutations.keep(rec)
+    assert refutations.kept == expected and len(expected) < len(every.kept)
+
+
+def test_keep_adds_no_support_for_an_admissible_or_inherited_record(tmp_path):
+    max_admissible_size(17, checkpoint_path=tmp_path / "sweep.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    settled = [rec for rec in records if rec["admissible"]
+               or rec["methods"] == [[rec["refuted_b"], "inherited"]]]
+    assert len(settled) > 90 and any(rec["admissible"] for rec in settled)
+    refutations = search._Refutations(17)
+    for rec in settled:
+        refutations.keep(rec)
+    assert refutations.kept == []
 
 
 def test_a_refutation_is_inherited_mod_the_largest_prime_modulus():
