@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -204,52 +203,15 @@ def report_to_jsonable(report: SearchReport) -> dict:
 
 
 def render_report(report: SearchReport) -> str:
-    """Canonical bytes for report files: ``_canonical_json`` of the report and a newline."""
+    """Canonical text of a report file: ``_canonical_json`` of the report, one line,
+    and a newline."""
     return _canonical_json(report_to_jsonable(report)) + "\n"
 
 
 def _canonical_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for the documents the package writes.
-
-    Those are trees of dicts with str keys, lists, str, int, bool and None;
-    anything else, a float among them, raises TypeError. ``json.dumps``
-    with an indent runs its pure-Python encoder, which this one outruns by
-    skipping the options the package never uses.
-    """
-    parts: list[str] = []
-    _encode(obj, parts, "\n")
-    return "".join(parts)
-
-
-def _encode(obj, out: list[str], newline: str) -> None:
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or isinstance(obj, bool):  # before int: True is an int
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, dict)) and not obj:
-        out.append("[]" if isinstance(obj, list) else "{}")
-    elif isinstance(obj, list):
-        inner = newline + "  "
-        out.append("[")
-        for item in obj:
-            out.append(inner)
-            _encode(item, out, inner)
-            out.append(",")
-        out[-1] = newline + "]"  # the last comma becomes the closing line
-    elif isinstance(obj, dict):
-        inner = newline + "  "
-        out.append("{")
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
-            _encode(obj[key], out, inner)
-            out.append(",")
-        out[-1] = newline + "}"
-    else:
-        raise TypeError(f"a {type(obj).__name__} has no canonical JSON form")
+    """The one JSON form of every document the package writes (reports, certificates
+    and checkpoint lines): sorted keys on one line, with the default separators."""
+    return json.dumps(obj, sort_keys=True)
 
 
 _EXCLUSIVE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
@@ -291,8 +253,10 @@ def replace_file(path, data: bytes) -> None:
 def store_certificate(payload: dict, directory) -> str:
     """Write a JSON payload content-addressed by its SHA-256; returns the hash.
 
-    The bytes are ``_canonical_json(payload)`` and a newline, stored as
-    ``<hash>.json``. A file already there with exactly those bytes is left
+    The bytes are ``_canonical_json(payload)``, one line, and a newline, stored
+    as ``<hash>.json``; a document written in another JSON form, such as the
+    two-space indent of earlier versions, reads back the same but has another
+    name. A file already there with exactly those bytes is left
     alone; a missing or different one, such as one torn by a crash, is
     written through ``replace_file``, so it appears only once complete and
     follows the umask.
@@ -619,7 +583,7 @@ class _Checkpoint:
                 else:
                     rec = self.refutations.inherit(digits, *hit)
                 if self._fh:
-                    self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    self._fh.write(_canonical_json(rec) + "\n")
                     self._fh.flush()
             self.refutations.keep(rec)
             yield rec
@@ -681,7 +645,7 @@ def max_admissible_size(
         if type(bound) is not int and bound != math.inf:
             raise ValueError(f"{name} must be an int or math.inf, got {bound!r}")
     ckpt = _Checkpoint(checkpoint_path, int(p), max_candidates, time.monotonic() + max_seconds)
-    examined, best, refuted = 0, None, []
+    examined, best, refutations = 0, None, ()
     try:
         for size in range(min_size, min(max_size, p - 1) + 1):
             level = []
@@ -690,9 +654,10 @@ def max_admissible_size(
                 if rec["admissible"]:
                     best = rec
                     break
-                level.append(rec)
+                level.append(Refutation(tuple(rec["digits"]), rec["refuted_b"],
+                                        tuple(int(v) for v in rec["witness"])))
             else:  # out of budget, or every candidate refuted: a proof if best is set
-                refuted = [] if ckpt.budget_exhausted or best is None else level
+                refutations = () if ckpt.budget_exhausted or best is None else tuple(level)
                 break
     finally:
         ckpt.close()
@@ -700,8 +665,6 @@ def max_admissible_size(
     if witness is not None and cert_dir is not None:
         for outcome in witness.outcomes:
             store_certificate(certificate_payload(witness.pair, outcome), cert_dir)
-    refutations = tuple(Refutation(tuple(r["digits"]), r["refuted_b"],
-                                   tuple(int(v) for v in r["witness"])) for r in refuted)
     return SearchReport(int(p), witness, examined, "proven" if refutations else "not-attempted",
                         refutations, ckpt.budget_exhausted)
 

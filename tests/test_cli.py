@@ -150,6 +150,34 @@ def test_cert_verify_checks_a_whole_maximality_proof(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def earlier_documents(tmp_path_factory):
+    """A p = 11 sweep report and a cone, digit and matrix certificate, re-encoded
+    with the two-space indent that reports and certificates were once written in."""
+    out = tmp_path_factory.mktemp("earlier")
+    assert main(["--out", str(out / "sweep"), "search", "-p", "11"]) == 0
+    assert main(["--out", str(out / "pair"), "check", "-p", "23",
+                 "-D", "0,1,3,4,8,9,10,12,17", "--Dprime", "0,1,3,4,8,10,17"]) == 0
+    documents = {json.loads(path.read_text())["method"]: path
+                 for path in (out / "pair" / "certs").glob("*.json")}
+    assert sorted(documents) == ["cone", "digit", "matrix"]
+    documents["report"] = out / "sweep" / "search_p11.json"
+    for path in documents.values():
+        indented = json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n"
+        assert indented.count("\n") > 1
+        path.write_text(indented)
+    return documents
+
+
+@pytest.mark.parametrize("document", ["report", "cone", "digit", "matrix"])
+def test_documents_in_the_earlier_indented_form_still_verify(
+        earlier_documents, capsys, document):
+    # every reader parses JSON, so documents written with an indent still verify
+    verdict = "report ok\n" if document == "report" else "certificate ok\n"
+    code, out, err = run(capsys, "cert-verify", str(earlier_documents[document]))
+    assert (code, out, err) == (0, verdict, "")
+
+
+@pytest.fixture(scope="module")
 def report_p11():
     return render_report(max_admissible_size(11))
 

@@ -20,6 +20,14 @@ its records of inherited refutations name the method ``inherited`` and
 carry a witness mapped from an earlier refutation, so its checkpoints
 differ, and so do its reports once a refuted final-level candidate
 inherits a witness other than the one the simplex finds (p = 11 and 13).
+
+Reports and certificates were pinned when the package wrote them with a
+two-space indent; it now writes each document on one line, so only the
+whitespace moved. A report or certificate pin is therefore compared with
+``indented_sha256``, the SHA-256 of the same JSON value in the indented form,
+which is the pinned value unless the document's value changed. A certificate
+file must also be named by the SHA-256 of its own bytes. Checkpoint lines
+were always one line each, so their pins are compared on the raw bytes.
 """
 
 import hashlib
@@ -41,7 +49,7 @@ from affinecaps.search import (
     verify_report_payload,
 )
 
-# SHA-256 of render_report(max_admissible_size(p))
+# indented_sha256 of render_report(max_admissible_size(p))
 REPORT_SHA256 = {
     5: "7603f96ea20b010d69360b06e0111c33b4cb08c4705287bd6e010efea3bda2dd",
     7: "abd77d7387da208c8c5c75b2a9c5d2f5b4ac9aa8374a7a34c2f383c1481d2c4c",
@@ -67,7 +75,8 @@ INHERITING_REPORT_SHA256 = {
     13: "25b82955be7a251eef53cc3e2fe27c27d928b9bd84a043c45a7c0f24c8ec331f",
 }
 
-# store_certificate names of the check_pair outcomes of each published pair, in order
+# indented_sha256 of the certificates that store_certificate writes for the check_pair
+# outcomes of each published pair, in order
 PUBLISHED_CERTIFICATES = {
     11: (
         "3d23125b5b33400eee726569ce46394c39c48d3dbc2c40913a5cf23156b69cb2",
@@ -102,8 +111,8 @@ PUBLISHED_CERTIFICATES = {
     ),
 }
 
-# sorted names of the certificate files that max_admissible_size(p, cert_dir=...)
-# writes: the certificates of the witness bundle, the documents that ``check``
+# indented_sha256 of the certificate files that max_admissible_size(p, cert_dir=...)
+# writes, sorted: the certificates of the witness bundle, the documents that ``check``
 # writes for the witness pair
 SWEEP_CERTIFICATES = {
     7: (
@@ -129,9 +138,10 @@ INHERITING_CHECKPOINT_SHA256 = {
     11: "23547f01dab623893f34e1ad519ce8f0d09e6f87ccea092f61bf73e4a95054d8",
 }
 
-# SHA-256 of the report and of the checkpoint that the default sweep writes when it
-# resumes the simplex path's checkpoint cut after its first 40 lines, recorded when the
-# support of every computed refutation was kept, and the number of supports kept now
+# indented_sha256 of the report and SHA-256 of the checkpoint that the default sweep
+# writes when it resumes the simplex path's checkpoint cut after its first 40 lines,
+# recorded when the support of every computed refutation was kept, and the number of
+# supports kept now
 RESUMED_SIMPLEX_CUT = {
     17: ("754694a28f50bfb7f7bb972f51b64cfe47de28da9061eca80c6ed5805c210f5d",
          "efeb3fb152a2768665a88674f4138945431492f7d0e4dc8c9d671110e416500a", 4),
@@ -170,42 +180,55 @@ def sha256(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
+def indented_sha256(document) -> str:
+    """SHA-256 of the JSON value of ``document`` as the pins were written: sorted keys,
+    a two-space indent and a newline."""
+    return sha256(json.dumps(json.loads(document), sort_keys=True, indent=2) + "\n")
+
+
+def certificate_names(directory) -> list[str]:
+    """``indented_sha256`` of each certificate file in ``directory``, sorted, once
+    each file proves to be named by the SHA-256 of its own bytes."""
+    names = []
+    for path in directory.iterdir():
+        data = path.read_bytes()
+        assert path.name == f"{sha256(data)}.json"
+        names.append(indented_sha256(data))
+    return sorted(names)
+
+
 @pytest.mark.parametrize("p", sorted(REPORT_SHA256))
 def test_sweep_report_bytes_are_pinned(simplex_path, p):
-    assert sha256(render_report(max_admissible_size(p))) == REPORT_SHA256[p]
+    assert indented_sha256(render_report(max_admissible_size(p))) == REPORT_SHA256[p]
 
 
 def test_published_pair_certificate_names_are_pinned(tmp_path):
     assert sorted(PUBLISHED_CERTIFICATES) == sorted(G.PUBLISHED_PAIRS)
     for p, (digits, fixed) in G.PUBLISHED_PAIRS.items():
-        pair = digit_pair(p, digits, fixed)
-        names = tuple(store_certificate(certificate_payload(pair, outcome), tmp_path / str(p))
-                      for outcome in check_pair(pair).outcomes)
-        assert names == PUBLISHED_CERTIFICATES[p], p
-        assert sorted(f.name for f in (tmp_path / str(p)).iterdir()) == \
-            sorted(f"{name}.json" for name in names)
+        pair, directory = digit_pair(p, digits, fixed), tmp_path / str(p)
+        names = [store_certificate(certificate_payload(pair, outcome), directory)
+                 for outcome in check_pair(pair).outcomes]
+        assert tuple(indented_sha256((directory / f"{name}.json").read_bytes())
+                     for name in names) == PUBLISHED_CERTIFICATES[p], p
+        assert certificate_names(directory) == sorted(PUBLISHED_CERTIFICATES[p])
 
 
 @pytest.mark.parametrize("p", sorted(SWEEP_CERTIFICATES))
 def test_sweep_certificate_names_and_checkpoint_are_pinned(tmp_path, simplex_path, p):
-    for workers in (1, 2):
-        checkpoint_path, cert_dir = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}"
-        report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers,
-                                     cert_dir=cert_dir)
-        names = sorted(f.name for f in cert_dir.iterdir())
-        assert names == [f"{name}.json" for name in SWEEP_CERTIFICATES[p]], workers
-        bundle = {store_certificate(certificate_payload(report.witness.pair, outcome),
-                                    tmp_path / "bundle")
-                  for outcome in report.witness.outcomes}
-        assert bundle == set(SWEEP_CERTIFICATES[p]), workers
-        assert sha256(checkpoint_path.read_bytes()) == SWEEP_CHECKPOINT_SHA256[p], workers
+    checkpoint_path, cert_dir = tmp_path / "sweep.jsonl", tmp_path / "certs"
+    report = max_admissible_size(p, checkpoint_path=checkpoint_path, cert_dir=cert_dir)
+    assert certificate_names(cert_dir) == list(SWEEP_CERTIFICATES[p])
+    for outcome in report.witness.outcomes:
+        store_certificate(certificate_payload(report.witness.pair, outcome), tmp_path / "bundle")
+    assert certificate_names(tmp_path / "bundle") == list(SWEEP_CERTIFICATES[p])
+    assert sha256(checkpoint_path.read_bytes()) == SWEEP_CHECKPOINT_SHA256[p]
 
 
 @pytest.mark.parametrize("p", sorted(FULL_STREAM_REPORT_SHA256))
 def test_the_full_stream_sweep_writes_the_earlier_pins(tmp_path, simplex_path, full_stream, p):
     checkpoint_path = tmp_path / "full.jsonl"
     report = render_report(max_admissible_size(p, checkpoint_path=checkpoint_path))
-    assert sha256(report) == FULL_STREAM_REPORT_SHA256[p]
+    assert indented_sha256(report) == FULL_STREAM_REPORT_SHA256[p]
     if p in FULL_STREAM_CHECKPOINT_SHA256:
         assert sha256(checkpoint_path.read_bytes()) == FULL_STREAM_CHECKPOINT_SHA256[p]
     # the report that lists every candidate is a maximality proof as well
@@ -227,9 +250,10 @@ def test_the_checkpoint_is_the_full_stream_one_with_only_normal_forms_kept(
     assert sha256(orbits.read_bytes()) == SWEEP_CHECKPOINT_SHA256[p]
 
 
-def with_certificate_names(checkpoint: bytes, p: int, cert_dir) -> bytes:
+def with_certificate_names(checkpoint: bytes, p: int) -> bytes:
     """The checkpoint in the format before records named their modulus: "p" dropped,
-    and the certificate name of each refutation added under "cert"."""
+    and the certificate name of each refutation added under "cert", the SHA-256 of
+    the certificate in the indented form that format stored."""
     lines = []
     for line in checkpoint.decode().splitlines():
         rec = json.loads(line)
@@ -237,8 +261,8 @@ def with_certificate_names(checkpoint: bytes, p: int, cert_dir) -> bytes:
         if not rec["admissible"]:
             refuting = RepOutcome(rec["refuted_b"], ConeCertificate(
                 "nontrivial", witness=tuple(int(v) for v in rec["witness"])))
-            rec["cert"] = store_certificate(
-                certificate_payload(digit_pair(p, rec["digits"]), refuting), cert_dir)
+            rec["cert"] = indented_sha256(
+                json.dumps(certificate_payload(digit_pair(p, rec["digits"]), refuting)))
         lines.append(json.dumps(rec, sort_keys=True) + "\n")
     return "".join(lines).encode()
 
@@ -251,22 +275,20 @@ def test_the_checkpoint_is_the_cert_named_one_without_its_names(
         patch.setattr(search, "candidates", all_candidates)
         max_admissible_size(p, checkpoint_path=fresh)
         assert sha256(fresh.read_bytes()) == FULL_STREAM_CHECKPOINT_SHA256[p]
-        named = with_certificate_names(fresh.read_bytes(), p, tmp_path / "refutations")
+        named = with_certificate_names(fresh.read_bytes(), p)
         assert sha256(named) == CERT_NAMED_CHECKPOINT_SHA256[p]
         # a checkpoint whose records carry "cert" resumes to the same report bytes
         resumed = tmp_path / "named.jsonl"
         resumed.write_bytes(named)
         report = max_admissible_size(p, checkpoint_path=resumed, cert_dir=tmp_path / "certs")
-        assert sha256(render_report(report)) == FULL_STREAM_REPORT_SHA256[p]
+        assert indented_sha256(render_report(report)) == FULL_STREAM_REPORT_SHA256[p]
         assert resumed.read_bytes() == named
-    assert sorted(f.stem for f in (tmp_path / "certs").iterdir()) == \
-        list(SWEEP_CERTIFICATES[p])
+    assert certificate_names(tmp_path / "certs") == list(SWEEP_CERTIFICATES[p])
     # the orbit sweep reads its verdicts from the full-stream checkpoint
     report = max_admissible_size(p, checkpoint_path=resumed, cert_dir=tmp_path / "orbit-certs")
-    assert sha256(render_report(report)) == REPORT_SHA256[p]
+    assert indented_sha256(render_report(report)) == REPORT_SHA256[p]
     assert resumed.read_bytes() == named
-    assert sorted(f.stem for f in (tmp_path / "orbit-certs").iterdir()) == \
-        list(SWEEP_CERTIFICATES[p])
+    assert certificate_names(tmp_path / "orbit-certs") == list(SWEEP_CERTIFICATES[p])
 
 
 def assert_the_cut_resumes(checkpoint_path, p, budget, examined, workers, pinned):
@@ -274,7 +296,7 @@ def assert_the_cut_resumes(checkpoint_path, p, budget, examined, workers, pinned
     lines = checkpoint_path.read_bytes().splitlines()
     assert len(lines) == cut.candidates_examined == examined
     report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers)
-    assert sha256(render_report(report)) == pinned
+    assert indented_sha256(render_report(report)) == pinned
     assert checkpoint_path.read_bytes().splitlines()[:len(lines)] == lines
     assert cut.budget_exhausted == (examined < report.candidates_examined)
     if cut.budget_exhausted:  # a cut inside the refuted level proves nothing
@@ -327,26 +349,24 @@ def test_each_budgeted_run_checks_k_more_candidates(
         assert cut.budget_exhausted and cut.maximality == "not-attempted"
     report = max_admissible_size(p, checkpoint_path=checkpoint_path, max_candidates=k)
     assert report.candidates_examined == total and not report.budget_exhausted
-    assert sha256(render_report(report)) == pinned
+    assert indented_sha256(render_report(report)) == pinned
 
 
 @pytest.mark.parametrize("p", sorted(INHERITING_REPORT_SHA256))
 def test_the_inheriting_sweep_report_bytes_are_pinned(p):
     report = render_report(max_admissible_size(p))
-    assert sha256(report) == INHERITING_REPORT_SHA256[p]
+    assert indented_sha256(report) == INHERITING_REPORT_SHA256[p]
     assert verify_report_payload(json.loads(report))
 
 
 @pytest.mark.parametrize("p", sorted(INHERITING_CHECKPOINT_SHA256))
 def test_the_inheriting_sweep_checkpoint_and_certificate_names_are_pinned(tmp_path, p):
-    for workers in (1, 2):
-        checkpoint_path, cert_dir = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}"
-        report = max_admissible_size(p, checkpoint_path=checkpoint_path, workers=workers,
-                                     cert_dir=cert_dir)
-        assert sha256(render_report(report)) == INHERITING_REPORT_SHA256[p], workers
-        assert sha256(checkpoint_path.read_bytes()) == INHERITING_CHECKPOINT_SHA256[p], workers
-        # the witness bundle is the simplex path's: inheritance closes refuted sets only
-        assert sorted(f.stem for f in cert_dir.iterdir()) == list(SWEEP_CERTIFICATES[p])
+    checkpoint_path, cert_dir = tmp_path / "sweep.jsonl", tmp_path / "certs"
+    report = max_admissible_size(p, checkpoint_path=checkpoint_path, cert_dir=cert_dir)
+    assert indented_sha256(render_report(report)) == INHERITING_REPORT_SHA256[p]
+    assert sha256(checkpoint_path.read_bytes()) == INHERITING_CHECKPOINT_SHA256[p]
+    # the witness bundle is the simplex path's: inheritance closes refuted sets only
+    assert certificate_names(cert_dir) == list(SWEEP_CERTIFICATES[p])
     records = [json.loads(line) for line in checkpoint_path.read_text().splitlines()]
     assert any(rec["methods"] == [[rec["refuted_b"], "inherited"]]
                for rec in records if not rec["admissible"])
@@ -378,9 +398,9 @@ def test_every_prefix_of_a_simplex_path_checkpoint_resumes_to_a_report_that_veri
         assert verify_report_payload(json.loads(report)), kept
         assert cut.read_bytes().splitlines(keepends=True)[:kept] == lines[:kept]
         if kept == 0:
-            assert sha256(report) == INHERITING_REPORT_SHA256[p]
+            assert indented_sha256(report) == INHERITING_REPORT_SHA256[p]
     # every verdict is read back, so the report is the simplex path's
-    assert sha256(report) == REPORT_SHA256[p]
+    assert indented_sha256(report) == REPORT_SHA256[p]
 
 
 @pytest.mark.parametrize("p", sorted(RESUMED_SIMPLEX_CUT))
@@ -393,7 +413,7 @@ def test_a_resumed_simplex_path_cut_keeps_no_support_that_holds_an_earlier_one(
     cut.write_bytes(b"".join(cut.read_bytes().splitlines(keepends=True)[:40]))
     report = render_report(max_admissible_size(p, checkpoint_path=cut))
     report_sha, checkpoint_sha, supports = RESUMED_SIMPLEX_CUT[p]
-    assert (sha256(report), sha256(cut.read_bytes())) == (report_sha, checkpoint_sha)
+    assert (indented_sha256(report), sha256(cut.read_bytes())) == (report_sha, checkpoint_sha)
     records = [json.loads(line) for line in cut.read_text().splitlines()]
     computed = [rec for rec in records if not rec["admissible"]
                 and rec["methods"] != [[rec["refuted_b"], "inherited"]]]

@@ -6,14 +6,15 @@ and its report check counts orbits by Burnside's lemma. So these facts
 must hold: ``orbit_count`` is the number of orbits, the batched normal-form
 kernel gives the least image of every row and ``candidates`` one set per
 orbit, admissibility does not change under x -> a*x + t, and pinning more
-digits never loses admissibility. Certificates are written by the
-package's own canonical JSON writer, so it must give ``json.dumps``'s
-bytes, and a stored certificate must read back to its payload and
+digits never loses admissibility. Every document the package writes, a
+certificate, a report or a checkpoint line, must be its sorted JSON on one
+line, and a stored certificate must read back to its payload and
 re-verify. A digit or matrix trace must replay, and a reduced one must
 not replay once a step is dropped or a removed triple or column changed.
 """
 
 import json
+import math
 import tempfile
 from functools import partial
 from itertools import combinations
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_normalize
-from affinecaps import digit_pair, zp
+from affinecaps import digit_pair, search, zp
 from affinecaps.progressions import build_constraint_system, enumerate_progressions
 from affinecaps.reducibility import (
     DigitStep,
@@ -39,10 +40,13 @@ from affinecaps.reducibility import (
     verify_matrix_trace,
 )
 from affinecaps.search import (
-    _canonical_json,
+    Refutation,
+    SearchReport,
+    _Checkpoint,
     candidates,
     certificate_payload,
     check_pair,
+    render_report,
     store_certificate,
     verify_certificate_payload,
 )
@@ -119,19 +123,34 @@ def test_admissibility_is_monotone_in_the_pinned_digits(case, data):
         assert check_pair(digit_pair(p, digits, more)).admissible
 
 
-# str with non-ASCII, control and lone-surrogate characters, ints past 64 bits
-json_trees = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 100, 2 ** 100)
-    | st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=8),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=4), children, max_size=4),
-    max_leaves=24)
+def _written_documents(pair, directory: Path) -> list[bytes]:
+    """The bytes the package writes for ``pair``: its certificates, a report with it
+    as the witness (and its refutation, if refuted) and its checkpoint line."""
+    verdict = check_pair(pair)
+    names = [store_certificate(certificate_payload(pair, o), directory) for o in verdict.outcomes]
+    documents = [(directory / f"{name}.json").read_bytes() for name in names]
+    last = verdict.outcomes[-1]
+    refutations = () if verdict.admissible else (
+        Refutation(pair.digits, last.b, last.proof.witness),)
+    report = SearchReport(pair.p, verdict, 1, "not-attempted", refutations, False)
+    documents.append(render_report(report).encode())
+    checkpoint = directory / "checkpoint.jsonl"
+    with mock.patch.object(search, "candidates", lambda p, size: (pair.digits,)):
+        ckpt = _Checkpoint(checkpoint, pair.p, math.inf, math.inf)
+        list(ckpt.level(len(pair.digits)))
+        ckpt.close()
+    documents.append(checkpoint.read_bytes())
+    return documents
 
 
-@settings(PROPERTY, max_examples=100)
-@given(json_trees)
-def test_canonical_json_is_sorted_two_space_json_dumps(tree):
-    assert _canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+@PROPERTY
+@given(digit_sets(primes=(7, 11, 13), sizes=(3, 6)), st.data())
+def test_every_document_is_its_sorted_json_on_one_line(case, data):
+    p, digits = case
+    pair = digit_pair(p, digits, data.draw(st.sets(st.sampled_from(digits))))
+    with tempfile.TemporaryDirectory() as directory:
+        for document in _written_documents(pair, Path(directory)):
+            assert document == (json.dumps(json.loads(document), sort_keys=True) + "\n").encode()
 
 
 @PROPERTY
