@@ -141,22 +141,27 @@ def pivot(tab: np.ndarray, r: int, col: int, det: int) -> tuple[np.ndarray, int]
     other row becomes (row * a - row[col] * tab[r]) / det with
     a = tab[r, col], an exact division (Bareiss, Math. Comp. 1968), so
     column ``col`` becomes a unit column and a is the new common
-    denominator. Returns the new tableau and a, a Python int.
+    denominator. Returns the updated tableau and a, a Python int.
 
-    The update is exact in int64 while every entry is below 2**31 in
-    absolute value: both products are then below 2**62 and their difference
-    below 2**63. When an entry is not, the tableau becomes an array of
-    Python ints (``dtype=object``) first and stays one.
+    The update is made in place, without the multiply when a is 1 and
+    without the division when det is 1. It is exact in int64 while every
+    entry is below 2**31 in absolute value: both products are then below
+    2**62 and their difference below 2**63. When an entry is not, the
+    tableau becomes an array of Python ints (``dtype=object``) first and
+    stays one; that copy is what is returned.
     """
     if tab.dtype != object and not -INT64_SAFE < tab.min() <= tab.max() < INT64_SAFE:
         tab = tab.astype(object)
-    lead = tab[r]
+    lead = tab[r].copy()
     a = int(lead[col])
-    out = tab * a
-    out -= tab[:, col, None] * lead
-    out //= det
-    out[r] = lead
-    return out, a
+    update = tab[:, col, None] * lead
+    if a != 1:
+        tab *= a
+    tab -= update
+    if det != 1:
+        tab //= det
+    tab[r] = lead
+    return tab, a
 
 
 def _eliminate(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:

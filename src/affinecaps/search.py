@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,12 @@ from .cone import (
     cone_trivial,
     verify_certificate,
 )
-from .progressions import build_constraint_system, enumerate_progressions
+from .progressions import (
+    ConstraintSystem,
+    ProgressionTable,
+    build_constraint_system,
+    enumerate_progressions,
+)
 from .reducibility import (
     ReductionTrace,
     digit_reduce,
@@ -49,6 +54,7 @@ from .zp import (
     Prime,
     _least_images,
     _normal_forms,
+    affine_image,
     digit_pair,
     equation_classes,
     make_line_equation,
@@ -672,34 +678,70 @@ def max_admissible_size(
 def minimize_fixed_digits(digits, p: int) -> PairVerdict:
     """Verdict for the smallest (then lexicographically least) admissible set of fixed digits.
 
-    A fixed set is skipped, not checked, when the witness of one refuted
-    before balances every digit of it: the witness then lies in that set's
-    cone too, so the set is refuted as well. The last fixed set is the whole
-    digit set, so an inadmissible set raises ValueError when the loop ends.
+    The progressions depend on the digits and the equation alone, so each
+    representative's table and all-pinned system are built once. A fixed
+    set F is refuted on them: the digit rule with F pinned, then, where it
+    is stuck, the cone of the rows of F's digits, which are the system
+    ``build_constraint_system`` builds with F pinned, in its order. The
+    first F that no representative refutes goes through ``check_pair``,
+    whose verdict is returned.
+
+    A refuting witness balances the digits whose two rows it zeroes, so it
+    refutes every F among them, which is then skipped. So is every F among
+    an image g(B) of such a set B under a map g(x) = ax + t of the digits'
+    stabiliser (``_stabiliser``): 1 + b + c = 0, so g maps the solutions
+    of x + by + cz = 0 to solutions and permutes the digit set's
+    progressions, and the witness moved through g balances g(B). Only
+    refuted sets are skipped, so the verdict is that of the first
+    admissible F in order. The last fixed set is the whole digit set, so an
+    inadmissible set raises ValueError when the loop ends.
     """
-    digits = tuple(sorted(set(digits)))
-    balanced: list[set[int]] = []
+    whole = digit_pair(p, digits)
+    p, digits = whole.p, whole.digits
+    reps = []
+    for b in equation_classes(p).representatives:
+        table = enumerate_progressions(whole, make_line_equation(p, b))
+        reps.append((table, build_constraint_system(table)))
+    labels = reps[0][1].row_labels
+    maps = _stabiliser(digits, p)
+    balanced: set[frozenset[int]] = set()
     for size in range(len(digits) + 1):
         for fixed in combinations(digits, size):
             if any(b.issuperset(fixed) for b in balanced):
                 continue
-            pair = digit_pair(p, digits, fixed)
-            verdict = check_pair(pair)
-            if verdict.admissible:
-                return verdict
-            balanced.append(_balanced_digits(pair, verdict.outcomes[-1]))
+            pair = DigitSetPair(p, digits, fixed)
+            rows = [i for i, (_, d) in enumerate(labels) if d in fixed]
+            for table, system in reps:
+                if digit_reduce(ProgressionTable(pair, table.equation, table.rows)).reduced:
+                    continue
+                cert = cone_trivial(ConstraintSystem(
+                    tuple(system.matrix[i] for i in rows), tuple(labels[i] for i in rows),
+                    system.column_labels))
+                if not cert.trivial:
+                    unbalanced = {d for (_, d), v in zip(labels, _row_sums(system, cert.witness))
+                                  if v}
+                    kept = [d for d in digits if d not in unbalanced]
+                    balanced.update(frozenset((a * d + t) % p for d in kept) for a, t in maps)
+                    break
+            else:
+                return check_pair(pair)
     raise ValueError(f"digit set {digits} is not admissible mod {p}")
 
 
-def _balanced_digits(pair: DigitSetPair, refuting: RepOutcome) -> set[int]:
-    """The digits whose two balance rows, (2, d) and (3, d) of the all-pinned
-    system, are 0 at the refuting witness.
+def _stabiliser(digits: tuple[int, ...], p: int) -> list[tuple[int, int]]:
+    """The maps x -> a*x + t mod p, as (a, t), that map the ascending digits onto
+    themselves, the identity among them.
 
-    The progressions, and so the witness's coordinates, depend on the digits
-    and the equation alone, not on the fixed digits.
+    Such a map sends the two least digits d0 < d1 to two digits u != v of
+    the set, and u, v fix it: a = (v - u) / (d1 - d0), t = u - a*d0. So
+    the k(k - 1) choices of u, v are all the candidates.
     """
-    system = build_constraint_system(enumerate_progressions(
-        digit_pair(pair.p, pair.digits), make_line_equation(pair.p, refuting.b)))
-    unbalanced = {d for (_, d), v in zip(system.row_labels,
-                                         _row_sums(system, refuting.proof.witness)) if v}
-    return set(pair.digits) - unbalanced
+    d0, d1 = digits[:2]
+    scale = pow(d1 - d0, -1, p)
+    maps = []
+    for u, v in permutations(digits, 2):
+        a = (v - u) * scale % p
+        t = (u - a * d0) % p
+        if affine_image(digits, a, t, p) == digits:
+            maps.append((a, t))
+    return maps

@@ -30,9 +30,12 @@ def is_prime(n: int) -> bool:
 
 
 class Prime(int):
-    """An odd prime modulus >= 5, validated at construction."""
+    """An odd prime modulus >= 5, validated at construction: a ``Prime`` is
+    immutable, so one passed in is returned as it is, unchecked."""
 
     def __new__(cls, p: int) -> "Prime":
+        if isinstance(p, Prime):
+            return p
         p = operator.index(p)
         if not 5 <= p < MODULUS_BOUND or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime in [5, 2**31), got {p}")

@@ -21,6 +21,14 @@ compare their verdicts with each other and with the pipeline.
 their earlier order, digit, then matrix, then cone, the reference for the
 order that runs the cone before the matrix rule and records the same proofs.
 
+``subset_minimize_fixed_digits`` runs ``search.check_pair`` on each fixed
+set in turn, smallest first, and skips a set whose every digit the witness
+of an earlier refuted set balances, read off ``balance_matrix``: the
+reference for ``minimize_fixed_digits``, which refutes on tables and
+systems built once and also skips the images of balanced sets under the
+digit set's affine stabiliser. ``affine_stabiliser`` scans all p(p-1)
+affine maps for those that map a digit set onto itself.
+
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
 least image of a digit set, the reference for ``normalize_digit_set``.
 
@@ -79,8 +87,8 @@ from affinecaps import (
 )
 from affinecaps.capset import CapCheck, _as_point_array
 from affinecaps.reducibility import MatrixStep, ReductionTrace
-from affinecaps.search import PairVerdict, RepOutcome
-from affinecaps.zp import LineEquation, Prime, affine_image
+from affinecaps.search import PairVerdict, RepOutcome, check_pair
+from affinecaps.zp import LineEquation, Prime, affine_image, digit_pair
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
@@ -171,6 +179,33 @@ def matrix_first_check_pair(pair) -> PairVerdict:
         if not outcomes[-1].trivial:
             break
     return PairVerdict(pair, tuple(outcomes))
+
+
+def subset_minimize_fixed_digits(digits, p: int) -> PairVerdict:
+    """Verdict for the first fixed set, smallest then least, that ``check_pair``
+    finds admissible; ValueError when there is none."""
+    digits = tuple(sorted(set(digits)))
+    balanced: list[set[int]] = []
+    for size in range(len(digits) + 1):
+        for fixed in combinations(digits, size):
+            if any(b.issuperset(fixed) for b in balanced):
+                continue
+            verdict = check_pair(digit_pair(p, digits, fixed))
+            if verdict.admissible:
+                return verdict
+            refuting = verdict.outcomes[-1]
+            sums = [sum(a * w for a, w in zip(row, refuting.proof.witness))
+                    for row in balance_matrix(p, digits, refuting.b)]
+            k = len(digits)
+            balanced.append({d for i, d in enumerate(digits) if not sums[i] and not sums[k + i]})
+    raise ValueError(f"digit set {digits} is not admissible mod {p}")
+
+
+def affine_stabiliser(digits, p: int) -> set[tuple[int, int]]:
+    """The maps x -> a*x + t, as (a, t), under which the digit set is its own image."""
+    digits = tuple(sorted(digits))
+    return {(a, t) for a in range(1, p) for t in range(p)
+            if affine_image(digits, a, t, p) == digits}
 
 
 def brute_normalize(digits, p: int) -> tuple[int, ...]:

@@ -9,7 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 import golden as G
-from oracles import all_candidates, balance_matrix, cone_admissible, matrix_first_check_pair
+from oracles import (
+    affine_stabiliser,
+    all_candidates,
+    balance_matrix,
+    cone_admissible,
+    matrix_first_check_pair,
+    subset_minimize_fixed_digits,
+)
 from traffic import pipeline_pairs
 from affinecaps import (
     Prime,
@@ -93,7 +100,7 @@ def test_the_matrix_rule_runs_only_on_a_trivial_cone(monkeypatch):
     for p in (11, 13):
         max_admissible_size(p)
     stuck = sum(not trace.reduced for trace in results["digit_reduce"])
-    assert len(results["cone_trivial"]) == stuck == 30
+    assert len(results["cone_trivial"]) == stuck == 24
     assert results["matrix_reduce"] == []
     for calls in results.values():
         calls.clear()
@@ -530,6 +537,62 @@ def test_minimize_requires_admissible_digits():
 def test_minimize_two_digit_set():
     pair = minimize_fixed_digits((0, 1), 7).pair
     assert pair.fixed == ()  # no progressions at all, nothing needs pinning
+
+
+def _verdict_or_refusal(minimize, digits, p):
+    """The verdict of ``minimize`` on the digits, or ValueError when it refuses them."""
+    try:
+        return minimize(digits, p)
+    except ValueError:
+        return ValueError
+
+
+def test_minimize_fixed_digits_matches_the_subset_by_subset_reference():
+    rng = random.Random(27)
+    admissible = symmetric = 0
+    for p in (7, 11, 13, 17, 19):
+        # the normal forms with a map other than the identity, and seeded
+        # random sets, of two digits and more
+        sets = [d for k in range(2, 6) for d in candidates(p, k)
+                if len(search._stabiliser(d, p)) > 1]
+        sets += [tuple(sorted(rng.sample(range(p), rng.randint(2, 6)))) for _ in range(12)]
+        for digits in sets:
+            expected = _verdict_or_refusal(subset_minimize_fixed_digits, digits, p)
+            assert _verdict_or_refusal(minimize_fixed_digits, digits, p) == expected, (p, digits)
+            admissible += expected is not ValueError
+            symmetric += expected is not ValueError and len(search._stabiliser(digits, p)) > 1
+    assert admissible >= 60 and symmetric >= 20
+
+
+def test_stabiliser_is_the_scan_of_all_affine_maps():
+    rng = random.Random(9)
+    sizes = set()
+    for p in (5, 7, 11, 13):
+        for k in range(2, p):
+            for digits in candidates(p, k):
+                image = affine_image(digits, rng.randrange(1, p), rng.randrange(p), p)
+                for d in (digits, image):
+                    maps = search._stabiliser(d, p)
+                    assert len(maps) == len(set(maps)) and set(maps) == affine_stabiliser(d, p)
+                    sizes.add(len(maps))
+    assert {1, 2, 3} <= sizes
+
+
+def test_check_pair_agrees_on_a_fixed_set_and_its_stabiliser_images():
+    checked = 0
+    for p in (7, 11, 13):
+        for k in (3, 4, 5):
+            for digits in candidates(p, k):
+                for a, t in search._stabiliser(digits, p):
+                    for size in range(k + 1):
+                        for fixed in combinations(digits, size):
+                            image = affine_image(fixed, a, t, p)
+                            first = check_pair(digit_pair(p, digits, fixed)).outcomes
+                            moved = check_pair(digit_pair(p, digits, image)).outcomes
+                            assert [(o.b, o.trivial) for o in first] == \
+                                [(o.b, o.trivial) for o in moved], (p, digits, fixed, image)
+                            checked += fixed != image
+    assert checked >= 100
 
 
 def test_monotone_refutation():

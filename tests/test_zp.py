@@ -12,6 +12,7 @@ from affinecaps import (
     make_line_equation,
     normalize_digit_set,
 )
+from affinecaps import zp
 from affinecaps.zp import DigitSetPair, affine_image, is_prime
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
@@ -22,6 +23,22 @@ def test_prime_validation():
     for bad in (4, 9, 15, 1, 0, -7, 2, 3):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_a_prime_is_passed_through_and_everything_else_checked(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zp, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    p = Prime(2 ** 31 - 1)
+    assert calls == [2 ** 31 - 1]
+    assert Prime(p) is p
+    assert make_line_equation(p, 5).p is p and digit_pair(p, (0, 1)).p is p
+    assert calls == [2 ** 31 - 1]  # no second trial division
+    assert type(Prime(11)) is Prime and calls[-1] == 11  # a plain int is checked
+    for bad in (True, False, 9, 2 ** 31 - 3, 4):
+        with pytest.raises(ValueError):
+            Prime(bad)
+    with pytest.raises(TypeError):
+        Prime(11.0)
 
 
 def test_is_prime_matches_trial_range():
