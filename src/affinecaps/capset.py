@@ -1,4 +1,4 @@
-"""Cap construction, brute-force verification, exact counts and bound tables."""
+"""Cap construction, direction-scan verification, exact counts and bound tables."""
 
 from __future__ import annotations
 

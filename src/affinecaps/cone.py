@@ -101,8 +101,9 @@ def _col_sums(system: ConstraintSystem, y: Sequence[int]) -> list[int]:
 
 
 def _row_sums(system: ConstraintSystem, x: Sequence[int]) -> list[int]:
-    """The integer vector A x."""
-    return [sum(a * v for a, v in zip(row, x)) for row in system.matrix]
+    """The integer vector A x, summed over the nonzero entries of x."""
+    support = [(j, v) for j, v in enumerate(x) if v]
+    return [sum(row[j] * v for j, v in support) for row in system.matrix]
 
 
 def cone_trivial(system: ConstraintSystem) -> ConeCertificate:

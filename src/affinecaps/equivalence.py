@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zp import Prime, _normal_forms, affine_image, gap_sequence, normalize_digit_set
+from .zp import Prime, _affine_maps, _normal_forms, gap_sequence, normalize_digit_set
 
 
 def difference_multiset(digits, p: int) -> tuple[int, ...]:
@@ -28,21 +28,22 @@ def fingerprint(digits, p: int) -> tuple[int, ...]:
 
 
 def affine_equivalent(digits1, digits2, p: int):
-    """Witnessing map (a, b) with a*D1 + b = D2, or None.
+    """The least map (a, b) in lexicographic order with a*D1 + b = D2, or None.
 
-    Scans all p(p-1) affine maps; returns the first witness in (a, b)
-    lexicographic order.
+    Sets of two or more digits go through ``zp._affine_maps``; (1, 0)
+    carries the empty set onto itself and (1, e - d) carries {d} onto {e}.
     """
     p = Prime(p)
     d1 = tuple(sorted(set(digits1)))
     d2 = tuple(sorted(set(digits2)))
     if len(d1) != len(d2):
         raise ValueError("digit sets must have equal size")
-    for a in range(1, p):
-        for b in range(p):
-            if affine_image(d1, a, b, p) == d2:
-                return (a, b)
-    return None
+    if not all(0 <= d < p for d in d1 + d2):
+        raise ValueError(f"digits must be residues in [0, {p})")
+    if len(d1) < 2:
+        return (1, (d2[0] - d1[0]) % p if d1 else 0)
+    maps = _affine_maps(d1, d2, p)
+    return maps[0] if maps else None
 
 
 @dataclass(frozen=True)

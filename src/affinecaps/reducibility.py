@@ -120,17 +120,13 @@ INT64_SAFE = 2 ** 31  # entries below this in absolute value pivot exactly in in
 def tableau(rows: Sequence[Sequence[int | Fraction]]) -> np.ndarray:
     """The rows, each cleared of denominators, as an integer tableau for ``pivot``.
 
-    Clearing scales each row, which leaves its echelon form unchanged. The
-    tableau is int64 when every entry fits, else an array of Python ints.
+    Clearing scales each row, which leaves its echelon form unchanged. Integer
+    rows that fit int64 are taken as they are, any other rows as Python ints.
     """
     tab = np.array(rows)
     if tab.dtype == np.int64:  # integer rows: nothing to clear
         return tab
-    rows = [clear_denominators(row)[0] for row in rows]
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
+    return np.array([clear_denominators(row)[0] for row in rows], dtype=object)
 
 
 def pivot(tab: np.ndarray, r: int, col: int, det: int) -> tuple[np.ndarray, int]:
@@ -193,9 +189,7 @@ def _eliminate(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[in
 def rref(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     """Reduced row echelon form over exact rationals."""
     m, det = _eliminate(matrix)
-    memo: dict[int, Fraction] = {}  # an echelon form repeats few values
-    return [[memo[v] if v in memo else memo.setdefault(v, Fraction(v, det)) for v in row]
-            for row in m]
+    return [[Fraction(v, det) for v in row] for row in m]
 
 
 def _fire_row(work: list[list[int]], surviving: list[int], i: int):

@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +52,9 @@ from .reducibility import (
 from .zp import (
     DigitSetPair,
     Prime,
+    _affine_maps,
     _least_images,
     _normal_forms,
-    affine_image,
     digit_pair,
     equation_classes,
     make_line_equation,
@@ -689,12 +689,13 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
     A refuting witness balances the digits whose two rows it zeroes, so it
     refutes every F among them, which is then skipped. So is every F among
     an image g(B) of such a set B under a map g(x) = ax + t of the digits'
-    stabiliser (``_stabiliser``): 1 + b + c = 0, so g maps the solutions
-    of x + by + cz = 0 to solutions and permutes the digit set's
-    progressions, and the witness moved through g balances g(B). Only
-    refuted sets are skipped, so the verdict is that of the first
-    admissible F in order. The last fixed set is the whole digit set, so an
-    inadmissible set raises ValueError when the loop ends.
+    stabiliser (``zp._affine_maps`` of the digits onto themselves):
+    1 + b + c = 0, so g maps the solutions of x + by + cz = 0 to solutions
+    and permutes the digit set's progressions, and the witness moved
+    through g balances g(B). Only refuted sets are skipped, so the verdict
+    is that of the first admissible F in order. The last fixed set is the
+    whole digit set, so an inadmissible set raises ValueError when the loop
+    ends.
     """
     whole = digit_pair(p, digits)
     p, digits = whole.p, whole.digits
@@ -703,7 +704,7 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
         table = enumerate_progressions(whole, make_line_equation(p, b))
         reps.append((table, build_constraint_system(table)))
     labels = reps[0][1].row_labels
-    maps = _stabiliser(digits, p)
+    maps = _affine_maps(digits, digits, p)
     balanced: set[frozenset[int]] = set()
     for size in range(len(digits) + 1):
         for fixed in combinations(digits, size):
@@ -726,22 +727,3 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
             else:
                 return check_pair(pair)
     raise ValueError(f"digit set {digits} is not admissible mod {p}")
-
-
-def _stabiliser(digits: tuple[int, ...], p: int) -> list[tuple[int, int]]:
-    """The maps x -> a*x + t mod p, as (a, t), that map the ascending digits onto
-    themselves, the identity among them.
-
-    Such a map sends the two least digits d0 < d1 to two digits u != v of
-    the set, and u, v fix it: a = (v - u) / (d1 - d0), t = u - a*d0. So
-    the k(k - 1) choices of u, v are all the candidates.
-    """
-    d0, d1 = digits[:2]
-    scale = pow(d1 - d0, -1, p)
-    maps = []
-    for u, v in permutations(digits, 2):
-        a = (v - u) * scale % p
-        t = (u - a * d0) % p
-        if affine_image(digits, a, t, p) == digits:
-            maps.append((a, t))
-    return maps

@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import comb, gcd
 
 import numpy as np
@@ -139,6 +140,25 @@ def affine_image(digits, a: int, b: int, p: int) -> tuple[int, ...]:
     if a % p == 0:
         raise ValueError("affine map needs a nonzero multiplier")
     return tuple(sorted((a * d + b) % p for d in digits))
+
+
+def _affine_maps(d1: tuple[int, ...], d2: tuple[int, ...], p: int) -> list[tuple[int, int]]:
+    """The maps x -> a*x + t mod p, as ascending (a, t), that carry the ascending
+    residues d1, two or more, onto the ascending residues d2.
+
+    Such a map sends the two least digits e0 < e1 of d1 to two digits
+    u != v of d2, and u, v fix it: a = (v - u) / (e1 - e0), t = u - a*e0.
+    So the k(k - 1) choices of u, v are all the candidates.
+    """
+    e0, e1 = d1[:2]
+    scale = pow(e1 - e0, -1, p)
+    maps = []
+    for u, v in permutations(d2, 2):
+        a = (v - u) * scale % p
+        t = (u - a * e0) % p
+        if affine_image(d1, a, t, p) == d2:
+            maps.append((a, t))
+    return sorted(maps)
 
 
 def gap_sequence(digits, p: int) -> tuple[int, ...]:

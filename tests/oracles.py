@@ -30,7 +30,10 @@ digit set's affine stabiliser. ``affine_stabiliser`` scans all p(p-1)
 affine maps for those that map a digit set onto itself.
 
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically
-least image of a digit set, the reference for ``normalize_digit_set``.
+least image of a digit set, the reference for ``normalize_digit_set``, and
+``affine_equivalent_scan`` scans them in (a, b) order for the first that
+carries one digit set onto another, the reference for
+``equivalence.affine_equivalent``.
 
 ``all_candidates`` is every ascending digit set of a size that contains 0
 and 1, the full stream that ``search.candidates`` thins to one normal form
@@ -206,6 +209,16 @@ def affine_stabiliser(digits, p: int) -> set[tuple[int, int]]:
     digits = tuple(sorted(digits))
     return {(a, t) for a in range(1, p) for t in range(p)
             if affine_image(digits, a, t, p) == digits}
+
+
+def affine_equivalent_scan(digits1, digits2, p: int):
+    """The first map (a, b) in lexicographic order with a*D1 + b = D2, or None."""
+    d1, d2 = tuple(sorted(set(digits1))), tuple(sorted(set(digits2)))
+    for a in range(1, p):
+        for b in range(p):
+            if affine_image(d1, a, b, p) == d2:
+                return (a, b)
+    return None
 
 
 def brute_normalize(digits, p: int) -> tuple[int, ...]:

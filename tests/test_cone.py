@@ -6,6 +6,7 @@ import pytest
 import golden as G
 from oracles import (
     InstanceTooLarge,
+    all_candidates,
     cone_admissible,
     cone_certificates,
     integer_oracle,
@@ -21,9 +22,10 @@ from affinecaps import (
     equation_classes,
     make_line_equation,
     matrix_reduce,
+    search,
     verify_certificate,
 )
-from affinecaps.cone import ConeCertificate
+from affinecaps.cone import ConeCertificate, _row_sums
 from affinecaps.progressions import ConstraintSystem
 
 
@@ -207,3 +209,31 @@ def test_certificates_use_exact_rationals():
     cert = cone_trivial(system_for(23, G.P23_DIGITS, G.P23_FIXED, 1))
     assert cert.trivial
     assert all(isinstance(v, Fraction) for v in cert.dual)
+
+
+def test_row_sums_over_the_support_equal_the_dense_sums(monkeypatch):
+    # the cone systems of the sweeps with every set holding 0 and 1, at
+    # their witnesses and at random sparse vectors
+    systems = []
+
+    def recording_cone_trivial(system):
+        systems.append(system)
+        return cone_trivial(system)
+
+    monkeypatch.setattr(search, "cone_trivial", recording_cone_trivial)
+    monkeypatch.setattr(search, "candidates", all_candidates)
+    monkeypatch.setattr(search, "_first_image", lambda refutations, digits: None)
+    for p in (5, 7, 11, 13):
+        search.max_admissible_size(p)
+    rng = random.Random(2803)
+    witnesses = 0
+    for system in systems:
+        cert = cone_trivial(system)
+        vectors = [[rng.choice((0, 0, 1, 3)) for _ in range(system.n_cols)]]
+        if not cert.trivial:
+            vectors.append(cert.witness)
+            witnesses += 1
+        for x in vectors:
+            assert _row_sums(system, x) == [sum(a * v for a, v in zip(row, x))
+                                            for row in system.matrix]
+    assert len(systems) > 300 and witnesses

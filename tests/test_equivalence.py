@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import brute_normalize, cone_admissible
-from affinecaps import digit_pair
+from oracles import affine_equivalent_scan, brute_normalize, cone_admissible
+from affinecaps import digit_pair, equivalence, zp
 from affinecaps.equivalence import (
     affine_equivalent,
     classify,
@@ -66,6 +67,58 @@ def test_affine_equivalent_witness_is_valid():
         assert witness is not None
         a, b = witness
         assert affine_image(digits, a, b, p) == image
+
+
+def test_affine_equivalent_tries_at_most_k_k_minus_1_maps(monkeypatch):
+    # a map is fixed by the images of the two least digits, so k(k - 1)
+    # maps decide equivalence; a scan of all p(p - 1) maps stops at once
+    calls = 0
+
+    def counted_image(digits, a, b, p):
+        nonlocal calls
+        calls += 1
+        if calls > len(digits) * (len(digits) - 1):
+            raise AssertionError(f"more than k(k - 1) maps tried mod {p}")
+        return affine_image(digits, a, b, p)
+
+    def equivalent(d1, d2, p):
+        nonlocal calls
+        calls = 0
+        return affine_equivalent(d1, d2, p)
+
+    for module in (zp, equivalence):
+        monkeypatch.setattr(module, "affine_image", counted_image, raising=False)
+    rng = random.Random(2801)
+    p = 10007
+    for _ in range(30):
+        d1 = tuple(sorted(rng.sample(range(p), 3)))
+        a, b = rng.randrange(1, p), rng.randrange(p)
+        image = affine_image(d1, a, b, p)
+        witness = equivalent(d1, image, p)
+        assert witness <= (a, b) and affine_image(d1, *witness, p) == image
+        other = tuple(sorted(rng.sample(range(p), 3)))
+        assert (equivalent(d1, other, p) is None) == \
+            (normalize_digit_set(d1, p) != normalize_digit_set(other, p))
+    start = time.perf_counter()
+    assert equivalent((0, 1, 3), (5, 6, 8), 2 ** 31 - 1) == (1, 5)
+    assert time.perf_counter() - start < 1
+
+
+def test_affine_equivalent_matches_the_full_scan():
+    rng = random.Random(2802)
+    found = missing = 0
+    for p in (5, 7, 11, 13):
+        for k in range(6):
+            for _ in range(25):
+                d1 = tuple(sorted(rng.sample(range(p), k)))
+                image = affine_image(d1, rng.randrange(1, p), rng.randrange(p), p)
+                other = tuple(sorted(rng.sample(range(p), k)))
+                for d2 in (image, other):
+                    expected = affine_equivalent_scan(d1, d2, p)
+                    assert affine_equivalent(d1, d2, p) == expected, (p, d1, d2)
+                    found += expected is not None
+                    missing += expected is None
+    assert found >= 1000 and missing >= 100
 
 
 def test_equivalence_relation_properties():
@@ -164,3 +217,6 @@ def test_digits_outside_the_residues_are_rejected():
         normalize_digit_set((-1, 0, 1), 11)
     with pytest.raises(ValueError):
         fingerprint((), 11)
+    for d1, d2 in (((0, 7), (1, 2)), ((0, 1), (1, 8)), ((3,), (7,))):
+        with pytest.raises(ValueError):
+            affine_equivalent(d1, d2, 7)
