@@ -141,6 +141,8 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.points_file:
+        if {args.digits, args.dprime, args.n, args.save_points} != {None}:
+            raise CliError("--points-file takes none of -D, --Dprime, -n and --save-points")
         points = read_points(args.points_file)
         check = verify_cap(points, args.p)
         count = len(set(points))

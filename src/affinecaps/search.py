@@ -35,7 +35,6 @@ from .cone import (
     verify_certificate,
 )
 from .progressions import (
-    ConstraintSystem,
     ProgressionTable,
     build_constraint_system,
     enumerate_progressions,
@@ -119,21 +118,18 @@ class PairVerdict:
         return all(o.trivial for o in self.outcomes)
 
 
-def check_pair(pair: DigitSetPair) -> PairVerdict:
-    """Digit rule, then cone, then matrix rule on a trivial cone, per representative.
+def _settle(pair: DigitSetPair, tables) -> PairVerdict:
+    """Digit rule, then cone, then matrix rule on a trivial cone, on the pair's table of
+    each representative in turn (``tables``); the outcomes end at the first refutation.
 
     The recorded proof prefers a digit trace to a matrix trace and a
     matrix trace to a cone certificate. The matrix rule runs only after a
     trivial cone certificate, because it deletes only columns that are 0
     in every x >= 0 with A x = 0: a run that reaches the empty state
     proves the cone trivial, so on a nontrivial cone the rule is stuck.
-
-    Stops at the first representative with a nonzero cone witness; the
-    returned outcomes then end with that refutation.
     """
     outcomes = []
-    for b in equation_classes(pair.p).representatives:
-        table = enumerate_progressions(pair, make_line_equation(pair.p, b))
+    for table in tables:
         proof = digit_reduce(table)
         if not proof.reduced:
             system = build_constraint_system(table)
@@ -141,10 +137,16 @@ def check_pair(pair: DigitSetPair) -> PairVerdict:
             if proof.trivial:
                 trace = matrix_reduce(system)
                 proof = trace if trace.reduced else proof
-        outcomes.append(RepOutcome(b, proof))
+        outcomes.append(RepOutcome(table.equation.b, proof))
         if not outcomes[-1].trivial:
             break
     return PairVerdict(pair, tuple(outcomes))
+
+
+def check_pair(pair: DigitSetPair) -> PairVerdict:
+    """The pair's verdict by ``_settle``, each table enumerated only when the loop reaches it."""
+    return _settle(pair, (enumerate_progressions(pair, make_line_equation(pair.p, b))
+                          for b in equation_classes(pair.p).representatives))
 
 
 def _proof_to_jsonable(outcome: RepOutcome) -> dict:
@@ -329,11 +331,11 @@ def verify_report_payload(data) -> bool:
     A loop over ``verify_certificate_payload``: the bundle must close each
     equation-class representative of the witness pair in turn (every class
     has at most six of the p - 2 values of b, so a bundle shorter than
-    (p - 2) / 6 fails before the O(p) listing of the classes, which is
-    then proportional to the document), and
-    ``max_size`` must be the witness's size. A ``proven`` report must refute
-    digit sets one digit larger, with all digits pinned, whose normal forms
-    are ``orbit_count`` many distinct ones: one refuted member of every
+    (p - 2) / 6 fails before the O(p) listing of the classes, which is then
+    proportional to the document), and ``max_size`` must be the witness's
+    size. A ``proven`` report must not have exhausted its budget, and it must
+    refute digit sets one digit larger, with all digits pinned, whose normal
+    forms are ``orbit_count`` many distinct ones: one refuted member of every
     affine orbit, and admissibility is affine-invariant. The refuted sets
     are not compared with ``candidates``, so no generator is trusted. A
     ``not-attempted`` report lists no refutations, and a report without a
@@ -341,7 +343,8 @@ def verify_report_payload(data) -> bool:
     field) when the document is malformed: first when p is not a JSON
     integer that ``Prime`` accepts, and when a digit of the witness or of a
     refutation is not an integer in [0, p): a bool or a float must not pass
-    for a digit.
+    for a digit, nor for ``max_size`` beside a witness, and
+    ``budget_exhausted`` must be a JSON boolean.
     """
     try:
         p = data["p"]
@@ -353,21 +356,26 @@ def verify_report_payload(data) -> bool:
             raise ValueError("a report needs maximality proven or not-attempted "
                              "and a list of refutations")
         refuted = [_report_digits(r["digits"], p) for r in refutations]
-        if witness is None:
-            return maximality == "not-attempted" and not refutations and data["max_size"] is None
-        bundle, size = witness["bundle"], len(_report_digits(witness["digits"], p))
-        claimed = [entry["b"] for entry in bundle]
-        if p - 2 > 6 * len(claimed) or data["max_size"] != size or \
-                claimed != list(equation_classes(p).representatives):
-            return False
-        context = {"p": p, "digits": witness["digits"], "fixed": witness["fixed"]}
-        for entry in bundle:
-            if not verify_certificate_payload({**entry, **context}) or (
-                    entry["method"] == "cone" and entry["certificate"]["kind"] == "nontrivial"):
+        if witness is not None:
+            bundle, size = witness["bundle"], len(_report_digits(witness["digits"], p))
+            claimed = [entry["b"] for entry in bundle]
+            if type(data["max_size"]) is not int:  # nor a bool, nor 3.0
+                raise ValueError("report field 'max_size' must be a JSON integer")
+            if p - 2 > 6 * len(claimed) or data["max_size"] != size or \
+                    claimed != list(equation_classes(p).representatives):
                 return False
+            context = {"p": p, "digits": witness["digits"], "fixed": witness["fixed"]}
+            for entry in bundle:
+                if not verify_certificate_payload({**entry, **context}) or \
+                        entry["method"] == "cone" and entry["certificate"]["kind"] == "nontrivial":
+                    return False
+        elif maximality == "proven" or data["max_size"] is not None:
+            return False
+        if type(data["budget_exhausted"]) is not bool:
+            raise ValueError("report field 'budget_exhausted' must be a JSON boolean")
         if maximality == "not-attempted":
             return not refutations
-        if any(len(digits) != size + 1 for digits in refuted) or \
+        if data["budget_exhausted"] or any(len(digits) != size + 1 for digits in refuted) or \
                 len(set(_normal_forms(refuted, p).values())) != orbit_count(p, size + 1):
             return False
         return all(_refutation_holds(p, r["digits"], r["b"], r["witness"]) for r in refutations)
@@ -679,31 +687,26 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
     """Verdict for the smallest (then lexicographically least) admissible set of fixed digits.
 
     The progressions depend on the digits and the equation alone, so each
-    representative's table and all-pinned system are built once. A fixed
-    set F is refuted on them: the digit rule with F pinned, then, where it
-    is stuck, the cone of the rows of F's digits, which are the system
-    ``build_constraint_system`` builds with F pinned, in its order. The
-    first F that no representative refutes goes through ``check_pair``,
-    whose verdict is returned.
+    representative's table is enumerated once, and each fixed set F is
+    settled by ``_settle`` on those rows with F pinned: the verdict of
+    ``check_pair`` on F, which the first admissible F returns.
 
-    A refuting witness balances the digits whose two rows it zeroes, so it
-    refutes every F among them, which is then skipped. So is every F among
-    an image g(B) of such a set B under a map g(x) = ax + t of the digits'
-    stabiliser (``zp._affine_maps`` of the digits onto themselves):
-    1 + b + c = 0, so g maps the solutions of x + by + cz = 0 to solutions
-    and permutes the digit set's progressions, and the witness moved
-    through g balances g(B). Only refuted sets are skipped, so the verdict
-    is that of the first admissible F in order. The last fixed set is the
-    whole digit set, so an inadmissible set raises ValueError when the loop
-    ends.
+    A refuting witness balances the digits whose two rows of the all-pinned
+    system (built once, for this read alone) it zeroes, so it refutes every F
+    among them, which is then skipped. So is every F among an image g(B) of
+    such a set B under a map g(x) = ax + t of the digits' stabiliser
+    (``zp._affine_maps`` of the digits onto themselves): 1 + b + c = 0, so g
+    maps the solutions of x + by + cz = 0 to solutions and permutes the digit
+    set's progressions, and the witness moved through g balances g(B). Only
+    refuted sets are skipped, so the verdict is that of the first admissible
+    F in order. The last fixed set is the whole digit set, so an inadmissible
+    set raises ValueError when the loop ends.
     """
     whole = digit_pair(p, digits)
     p, digits = whole.p, whole.digits
-    reps = []
-    for b in equation_classes(p).representatives:
-        table = enumerate_progressions(whole, make_line_equation(p, b))
-        reps.append((table, build_constraint_system(table)))
-    labels = reps[0][1].row_labels
+    tables = [enumerate_progressions(whole, make_line_equation(p, b))
+              for b in equation_classes(p).representatives]
+    systems = [build_constraint_system(table) for table in tables]
     maps = _affine_maps(digits, digits, p)
     balanced: set[frozenset[int]] = set()
     for size in range(len(digits) + 1):
@@ -711,19 +714,12 @@ def minimize_fixed_digits(digits, p: int) -> PairVerdict:
             if any(b.issuperset(fixed) for b in balanced):
                 continue
             pair = DigitSetPair(p, digits, fixed)
-            rows = [i for i, (_, d) in enumerate(labels) if d in fixed]
-            for table, system in reps:
-                if digit_reduce(ProgressionTable(pair, table.equation, table.rows)).reduced:
-                    continue
-                cert = cone_trivial(ConstraintSystem(
-                    tuple(system.matrix[i] for i in rows), tuple(labels[i] for i in rows),
-                    system.column_labels))
-                if not cert.trivial:
-                    unbalanced = {d for (_, d), v in zip(labels, _row_sums(system, cert.witness))
-                                  if v}
-                    kept = [d for d in digits if d not in unbalanced]
-                    balanced.update(frozenset((a * d + t) % p for d in kept) for a, t in maps)
-                    break
-            else:
-                return check_pair(pair)
+            verdict = _settle(pair, (ProgressionTable(pair, table.equation, table.rows)
+                                     for table in tables))
+            if verdict.admissible:
+                return verdict
+            system = systems[len(verdict.outcomes) - 1]
+            sums = zip(system.row_labels, _row_sums(system, verdict.outcomes[-1].proof.witness))
+            kept = set(digits) - {d for (_, d), v in sums if v}
+            balanced.update(frozenset((a * d + t) % p for d in kept) for a, t in maps)
     raise ValueError(f"digit set {digits} is not admissible mod {p}")

@@ -24,9 +24,10 @@ order that runs the cone before the matrix rule and records the same proofs.
 ``subset_minimize_fixed_digits`` runs ``search.check_pair`` on each fixed
 set in turn, smallest first, and skips a set whose every digit the witness
 of an earlier refuted set balances, read off ``balance_matrix``: the
-reference for ``minimize_fixed_digits``, which refutes on tables and
-systems built once and also skips the images of balanced sets under the
-digit set's affine stabiliser. ``affine_stabiliser`` scans all p(p-1)
+reference for ``minimize_fixed_digits``, which enumerates each table once,
+settles every fixed set through ``check_pair``'s loop without calling it,
+and also skips the images of balanced sets under the digit set's affine
+stabiliser. ``affine_stabiliser`` scans all p(p-1)
 affine maps for those that map a digit set onto itself.
 
 ``brute_normalize`` scans all p(p-1) affine maps for the lexicographically

@@ -217,11 +217,12 @@ def change_bundle_trace(report):
     lambda r: r.update(witness=None, max_size=None),
     lambda r: r.update(witness=None, max_size=None, refutations=[]),
     lambda r: r.update(maximality="not-attempted"),
+    lambda r: r.update(budget_exhausted=True),
 ], ids=["refutation-dropped", "refutation-duplicated", "refutations-swapped",
         "witness-entry-changed", "bundle-trace-changed", "max-size-raised",
         "bundle-entry-dropped", "bundle-entry-replaced-by-a-refutation",
         "proven-without-witness", "proven-without-witness-or-refutations",
-        "not-attempted-with-refutations"])
+        "not-attempted-with-refutations", "proven-with-budget-exhausted"])
 def test_cert_verify_rejects_a_tampered_report(tmp_path, capsys, report_p11, tamper):
     report = json.loads(report_p11)
     tamper(report)
@@ -248,8 +249,12 @@ NO_WITNESS = {"witness": None, "max_size": None, "maximality": "not-attempted", 
 @pytest.mark.parametrize("change", [
     {"witness": 5}, {"refutations": {}}, {"maximality": "maybe"}, {"bundle": [1]},
     {"p": 4, **NO_WITNESS}, {"p": 1, **NO_WITNESS}, {"p": 4}, {"p": 10 ** 30}, {"p": "11"},
+    {"max_size": 5.0}, {"max_size": "5"}, {"budget_exhausted": "yes"},
+    {"budget_exhausted": 0}, {"budget_exhausted": "yes", **NO_WITNESS},
 ], ids=["witness-number", "refutations-object", "unknown-maximality", "bundle-of-numbers",
-        "p-4-without-witness", "p-1-without-witness", "p-4", "p-10**30", "p-string"])
+        "p-4-without-witness", "p-1-without-witness", "p-4", "p-10**30", "p-string",
+        "max-size-float", "max-size-string", "budget-exhausted-string",
+        "budget-exhausted-number", "budget-exhausted-string-without-witness"])
 def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report_p11, change):
     report = json.loads(report_p11)
     if "bundle" in change:
@@ -372,6 +377,19 @@ def test_a_modulus_from_2_31_up_is_an_input_error_at_once(tmp_path, capsys, comm
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 1
     assert code == 2 and not out and "2**31" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("-D", "0,1,2"), ("--Dprime", "0"), ("-n", "3"), ("--save-points", "out.txt"),
+    ("-D", "0,1,2", "-n", "3", "--save-points", "out.txt"),
+])
+def test_verify_refuses_a_points_file_with_build_options(tmp_path, capsys, extra):
+    path = tmp_path / "pts.txt"
+    path.write_text("0 1\n1 0\n")
+    argv = [arg.replace("out.txt", str(tmp_path / "out.txt")) for arg in extra]
+    code, out, err = run(capsys, "verify", "-p", "7", "--points-file", str(path), *argv)
+    assert code == 2 and not out and err.startswith("error: ") and extra[0] in err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_verify_missing_arguments(capsys):

@@ -1,8 +1,10 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses,
+and every module, the benchmark's too, parses as Python 3.10.
 
 No linter is a dependency, so this is the unused-import check: every name an
 import binds must be read somewhere in its module, or be listed in the
-module's ``__all__``.
+module's ``__all__``. The grammar check holds the sources to the
+``requires-python`` floor of ``pyproject.toml``.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "affinecaps").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,13 @@ def test_an_unused_import_is_found():
               "import numpy as np\nimport os.path\n__all__ = ['np']\n"
               "list(combinations(os.path.sep, 2))\n")
     assert unused_imports(source) == ["permutations"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_module_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_grammar_check_refuses_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -24,6 +24,7 @@ from affinecaps import (
     cone_trivial,
     digit_pair,
     enumerate_progressions,
+    equation_classes,
     make_line_equation,
     normalize_digit_set,
     search,
@@ -562,6 +563,21 @@ def test_minimize_fixed_digits_matches_the_subset_by_subset_reference():
             admissible += expected is not ValueError
             symmetric += expected is not ValueError and len(_affine_maps(digits, digits, p)) > 1
     assert admissible >= 60 and symmetric >= 20
+
+
+# the digit set each sweep proves maximal, by prime
+SWEEP_WITNESSES = {11: (0, 1, 2, 3, 4), 13: (0, 1, 2, 3), 17: (0, 1, 2, 3, 4, 6, 10),
+                   19: (0, 1, 2, 3, 7, 15), 23: (0, 1, 2, 3, 4, 5, 8, 12, 16)}
+
+
+@pytest.mark.parametrize("p", sorted(SWEEP_WITNESSES))
+def test_minimize_fixed_digits_enumerates_once_and_checks_no_pair(monkeypatch, p):
+    digits = SWEEP_WITNESSES[p]
+    expected = subset_minimize_fixed_digits(digits, p)
+    results = record_results(monkeypatch, "check_pair", "enumerate_progressions")
+    assert minimize_fixed_digits(digits, p) == expected
+    assert results["check_pair"] == []
+    assert len(results["enumerate_progressions"]) == len(equation_classes(p).representatives)
 
 
 def test_stabiliser_is_the_scan_of_all_affine_maps():
