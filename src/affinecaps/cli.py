@@ -122,7 +122,6 @@ def cmd_search(args) -> int:
         args.p,
         checkpoint_path=out / f"search_p{args.p}.checkpoint.jsonl",
         cert_dir=out / "certs",
-        min_size=args.lmin,
         max_size=args.lmax,
         max_seconds=args.budget_seconds,
         max_candidates=args.budget_candidates,
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="find the maximal admissible digit-set size")
     sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("--lmin", type=int, default=2, help="smallest digit-set size to try")
     sp.add_argument("--lmax", type=int, default=math.inf, help="largest digit-set size to try")
     sp.add_argument("--budget-seconds", type=float, default=math.inf)
     sp.add_argument("--budget-candidates", type=int, default=math.inf)

@@ -333,7 +333,9 @@ def verify_report_payload(data) -> bool:
     has at most six of the p - 2 values of b, so a bundle shorter than
     (p - 2) / 6 fails before the O(p) listing of the classes, which is then
     proportional to the document), and ``max_size`` must be the witness's
-    size. A ``proven`` report must not have exhausted its budget, and it must
+    size, with every entry flagged ``trivial``. ``candidates_examined`` must
+    be at least the number of refutations, each of them examined. A
+    ``proven`` report must not have exhausted its budget, and it must
     refute digit sets one digit larger, with all digits pinned, whose normal
     forms are ``orbit_count`` many distinct ones: one refuted member of every
     affine orbit, and admissibility is affine-invariant. The refuted sets
@@ -343,8 +345,9 @@ def verify_report_payload(data) -> bool:
     field) when the document is malformed: first when p is not a JSON
     integer that ``Prime`` accepts, and when a digit of the witness or of a
     refutation is not an integer in [0, p): a bool or a float must not pass
-    for a digit, nor for ``max_size`` beside a witness, and
-    ``budget_exhausted`` must be a JSON boolean.
+    for a digit, nor for ``max_size`` beside a witness or for
+    ``candidates_examined``, and ``budget_exhausted`` and the bundle's
+    ``trivial`` flags must be JSON booleans.
     """
     try:
         p = data["p"]
@@ -355,13 +358,19 @@ def verify_report_payload(data) -> bool:
         if maximality not in ("proven", "not-attempted") or not isinstance(refutations, list):
             raise ValueError("a report needs maximality proven or not-attempted "
                              "and a list of refutations")
+        for key, kind in (("budget_exhausted", bool), ("candidates_examined", int)):
+            if type(data[key]) is not kind:  # JSON true and false are not integers
+                raise ValueError(f"report field {key!r} must be a JSON {kind.__name__}")
         refuted = [_report_digits(r["digits"], p) for r in refutations]
         if witness is not None:
             bundle, size = witness["bundle"], len(_report_digits(witness["digits"], p))
             claimed = [entry["b"] for entry in bundle]
             if type(data["max_size"]) is not int:  # nor a bool, nor 3.0
                 raise ValueError("report field 'max_size' must be a JSON integer")
+            if not all(type(entry["trivial"]) is bool for entry in bundle):
+                raise ValueError("the bundle's 'trivial' flags must be JSON booleans")
             if p - 2 > 6 * len(claimed) or data["max_size"] != size or \
+                    not all(entry["trivial"] for entry in bundle) or \
                     claimed != list(equation_classes(p).representatives):
                 return False
             context = {"p": p, "digits": witness["digits"], "fixed": witness["fixed"]}
@@ -371,8 +380,8 @@ def verify_report_payload(data) -> bool:
                     return False
         elif maximality == "proven" or data["max_size"] is not None:
             return False
-        if type(data["budget_exhausted"]) is not bool:
-            raise ValueError("report field 'budget_exhausted' must be a JSON boolean")
+        if data["candidates_examined"] < len(refutations):
+            return False
         if maximality == "not-attempted":
             return not refutations
         if data["budget_exhausted"] or any(len(digits) != size + 1 for digits in refuted) or \
@@ -613,16 +622,16 @@ def max_admissible_size(
     checkpoint_path=None,
     workers: int = 1,
     cert_dir=None,
-    min_size: int = 2,
     max_size: float = math.inf,
     max_seconds: float = math.inf,
     max_candidates: float = math.inf,
 ) -> SearchReport:
     """Find the largest admissible digit-set size and prove its maximality.
 
-    Ascends through sizes; a size is settled by the first admissible
-    candidate, and the sweep ends at the first size where the full scan
-    refutes every candidate, which is the maximality proof for size - 1.
+    Ascends through sizes from 2, whose one candidate {0, 1} is admissible
+    for every prime; a size is settled by the first admissible candidate,
+    and the sweep ends at the first size where the full scan refutes every
+    candidate, which is the maximality proof for size - 1.
     The first admissible normal form is the first admissible set containing
     0 and 1, since its normal form sorts no higher and also holds 0 and 1.
     The bounds after ``p`` are keywords only, and ``math.inf``, their
@@ -633,35 +642,31 @@ def max_admissible_size(
     checked by ``check_pair`` does: one candidate, and the clock is read before it.
     An exceeded budget yields a partial report (maximality not attempted),
     never an unproven claim; the same holds when the sweep is capped by
-    ``max_size`` before reaching a fully refuted level, and when the
-    first level it sweeps is already fully refuted. A ``max_size``
-    above p - 1 is lowered to p - 1; ``min_size`` outside 2..p-1, a
-    ``max_size`` below ``min_size`` or NaN, fewer than one worker, a negative
-    or NaN budget, a size or candidate bound that is neither an int nor
-    ``math.inf`` and a checkpoint holding verdicts of another modulus raise
-    ValueError before any work starts. ``cert_dir`` receives the
-    certificates of the witness bundle; the refutations live in the report,
-    which ``verify_report_payload`` checks. ``workers`` is checked and changes
-    nothing else: almost every candidate inherits, so the sweep runs in this process.
+    ``max_size`` before reaching a fully refuted level. A ``max_size``
+    above p - 1 is lowered to p - 1; a ``max_size`` below 2 or NaN, fewer
+    than one worker, a negative or NaN budget, a size or candidate bound
+    that is neither an int nor ``math.inf`` and a checkpoint holding
+    verdicts of another modulus raise ValueError before any work starts.
+    ``cert_dir`` receives the certificates of the witness bundle; the
+    refutations live in the report, which ``verify_report_payload`` checks.
+    ``workers`` is checked and changes nothing else: almost every candidate
+    inherits, so the sweep runs in this process.
     """
     p = Prime(p)
-    if not 2 <= min_size <= p - 1:
-        raise ValueError(f"min_size must lie in 2..{p - 1}, got {min_size}")
-    if not max_size >= min_size:  # NaN fails too
-        raise ValueError(f"max_size must be at least min_size {min_size}, got {max_size}")
+    if not max_size >= 2:  # NaN fails too
+        raise ValueError(f"max_size must be at least 2, got {max_size}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     for name, limit in (("seconds", max_seconds), ("candidates", max_candidates)):
         if not limit >= 0:  # NaN fails too
             raise ValueError(f"the {name} budget must not be negative, got {limit}")
-    for name, bound in (("min_size", min_size), ("max_size", max_size),
-                        ("max_candidates", max_candidates)):
+    for name, bound in (("max_size", max_size), ("max_candidates", max_candidates)):
         if type(bound) is not int and bound != math.inf:
             raise ValueError(f"{name} must be an int or math.inf, got {bound!r}")
     ckpt = _Checkpoint(checkpoint_path, int(p), max_candidates, time.monotonic() + max_seconds)
     examined, best, refutations = 0, None, ()
     try:
-        for size in range(min_size, min(max_size, p - 1) + 1):
+        for size in range(2, min(max_size, p - 1) + 1):
             level = []
             for rec in ckpt.level(size):
                 examined += 1
@@ -670,8 +675,8 @@ def max_admissible_size(
                     break
                 level.append(Refutation(tuple(rec["digits"]), rec["refuted_b"],
                                         tuple(int(v) for v in rec["witness"])))
-            else:  # out of budget, or every candidate refuted: a proof if best is set
-                refutations = () if ckpt.budget_exhausted or best is None else tuple(level)
+            else:  # out of budget, or every candidate refuted below an admissible level
+                refutations = () if ckpt.budget_exhausted else tuple(level)
                 break
     finally:
         ckpt.close()

@@ -2,7 +2,10 @@ import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -218,11 +221,16 @@ def change_bundle_trace(report):
     lambda r: r.update(witness=None, max_size=None, refutations=[]),
     lambda r: r.update(maximality="not-attempted"),
     lambda r: r.update(budget_exhausted=True),
+    lambda r: r["witness"]["bundle"][0].update(trivial=False),
+    lambda r: r.update(candidates_examined=len(r["refutations"]) - 1),
+    lambda r: r.update(candidates_examined=-1, maximality="not-attempted", refutations=[]),
 ], ids=["refutation-dropped", "refutation-duplicated", "refutations-swapped",
         "witness-entry-changed", "bundle-trace-changed", "max-size-raised",
         "bundle-entry-dropped", "bundle-entry-replaced-by-a-refutation",
         "proven-without-witness", "proven-without-witness-or-refutations",
-        "not-attempted-with-refutations", "proven-with-budget-exhausted"])
+        "not-attempted-with-refutations", "proven-with-budget-exhausted",
+        "bundle-entry-flagged-not-trivial", "fewer-examined-than-refuted",
+        "negative-examined-count"])
 def test_cert_verify_rejects_a_tampered_report(tmp_path, capsys, report_p11, tamper):
     report = json.loads(report_p11)
     tamper(report)
@@ -246,18 +254,36 @@ def test_cert_verify_refuses_a_report_at_a_huge_modulus_at_once(tmp_path, capsys
 NO_WITNESS = {"witness": None, "max_size": None, "maximality": "not-attempted", "refutations": []}
 
 
+def flag_first_bundle_entry(flag):
+    return lambda report: report["witness"]["bundle"][0].update(trivial=flag)
+
+
+def drop_a_bundle_entry_and_flag_the_budget_with_a_string(report):
+    report["witness"]["bundle"].pop()
+    report["budget_exhausted"] = "yes"
+
+
 @pytest.mark.parametrize("change", [
     {"witness": 5}, {"refutations": {}}, {"maximality": "maybe"}, {"bundle": [1]},
     {"p": 4, **NO_WITNESS}, {"p": 1, **NO_WITNESS}, {"p": 4}, {"p": 10 ** 30}, {"p": "11"},
     {"max_size": 5.0}, {"max_size": "5"}, {"budget_exhausted": "yes"},
     {"budget_exhausted": 0}, {"budget_exhausted": "yes", **NO_WITNESS},
+    drop_a_bundle_entry_and_flag_the_budget_with_a_string,
+    flag_first_bundle_entry(0), flag_first_bundle_entry("nonsense"),
+    {"candidates_examined": "lots"}, {"candidates_examined": 10.0},
+    {"candidates_examined": True},
 ], ids=["witness-number", "refutations-object", "unknown-maximality", "bundle-of-numbers",
         "p-4-without-witness", "p-1-without-witness", "p-4", "p-10**30", "p-string",
         "max-size-float", "max-size-string", "budget-exhausted-string",
-        "budget-exhausted-number", "budget-exhausted-string-without-witness"])
+        "budget-exhausted-number", "budget-exhausted-string-without-witness",
+        "budget-exhausted-string-with-a-short-bundle", "trivial-flag-number",
+        "trivial-flag-string", "candidates-examined-string", "candidates-examined-float",
+        "candidates-examined-boolean"])
 def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report_p11, change):
     report = json.loads(report_p11)
-    if "bundle" in change:
+    if callable(change):
+        change(report)
+    elif "bundle" in change:
         report["witness"].update(change)
     else:
         report.update(change)
@@ -270,8 +296,11 @@ def test_cert_verify_malformed_report_is_an_input_error(tmp_path, capsys, report
 @pytest.mark.parametrize("document, field", [
     ({"maximality": "proven"}, "p"),
     ({k: v for k, v in P11_B1_CERT.items() if k != "method"}, "method"),
+    ("report", "candidates_examined"),  # the p = 11 report without the field
 ])
-def test_cert_verify_names_a_missing_field(tmp_path, capsys, document, field):
+def test_cert_verify_names_a_missing_field(tmp_path, capsys, report_p11, document, field):
+    if document == "report":
+        document = {k: v for k, v in json.loads(report_p11).items() if k != field}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
     code, out, err = run(capsys, "cert-verify", str(path))
@@ -441,6 +470,25 @@ def test_table_without_a_prime_is_an_input_error(capsys, primes):
     assert err == "error: need at least one prime\n"
 
 
+def test_the_exit_status_a_shell_sees(tmp_path):
+    # `sys.exit(main())` as `python -m affinecaps.cli` runs it, in a process of its own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def status(*argv):
+        return subprocess.run([sys.executable, "-m", "affinecaps.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=120).returncode
+
+    assert status("--out", "out", "search", "-p", "7") == 0
+    report = json.loads((tmp_path / "out" / "search_p7.json").read_text())
+    assert status("cert-verify", "out/search_p7.json") == 0
+    for name, flag, code in (("tampered", True, 1), ("malformed", "yes", 2)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**report, "budget_exhausted": flag}))
+        assert status("cert-verify", f"{name}.json") == code, name
+    assert status("--out", "out", "search", "-p", "7", "--lmin", "3") == 2
+
+
 def test_search_p7_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7")
     assert code == 0
@@ -484,7 +532,7 @@ def test_a_search_report_write_that_fails_partway_keeps_the_previous_report(
 
 
 @pytest.mark.parametrize("options", [
-    ("--lmin", "0"), ("--lmin", "9"), ("--lmax", "1"), ("--lmin", "5", "--lmax", "4"),
+    ("--lmax", "1"), ("--lmax", "0"),
 ])
 def test_search_rejects_bad_sizes(tmp_path, capsys, options):
     code, _, err = run(capsys, "--out", str(tmp_path), "search", "-p", "7", *options)
@@ -492,11 +540,12 @@ def test_search_rejects_bad_sizes(tmp_path, capsys, options):
     assert not (tmp_path / "search_p7.json").exists()
 
 
-def test_search_takes_no_workers_option(tmp_path, capsys):
+@pytest.mark.parametrize("option", [("--workers", "2"), ("--lmin", "3")], ids=["workers", "lmin"])
+def test_search_takes_no_workers_or_lmin_option(tmp_path, capsys, option):
     with pytest.raises(SystemExit) as exit_:
-        main(["--out", str(tmp_path), "search", "-p", "7", "--workers", "2"])
+        main(["--out", str(tmp_path), "search", "-p", "7", *option])
     assert exit_.value.code == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not (tmp_path / "search_p7.json").exists()
 
 
@@ -531,6 +580,16 @@ def test_search_zero_budget_still_exits_with_the_budget_code(tmp_path, capsys):
     assert json.loads((tmp_path / "search_p7.json").read_text())["budget_exhausted"] is True
 
 
+def test_search_claims_no_proof_without_a_witness(tmp_path, capsys):
+    # level 2 is always admissible, so only a spent budget leaves no witness
+    code, out, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7",
+                       "--budget-candidates", "0")
+    assert code == 3
+    assert "max admissible size None (budget exhausted, partial)" in out and "proven" not in out
+    report = json.loads((tmp_path / "search_p7.json").read_text())
+    assert report["maximality"] == "not-attempted" and report["max_size"] is None
+
+
 def test_search_resume_matches_fresh(tmp_path, capsys):
     out_a = tmp_path / "a"
     run(capsys, "--out", str(out_a), "search", "-p", "7", "--budget-candidates", "5")
@@ -539,14 +598,6 @@ def test_search_resume_matches_fresh(tmp_path, capsys):
     out_b = tmp_path / "b"
     run(capsys, "--out", str(out_b), "search", "-p", "7")
     assert (out_a / "search_p7.json").read_bytes() == (out_b / "search_p7.json").read_bytes()
-
-
-def test_search_claims_no_proof_when_the_first_level_is_refuted(tmp_path, capsys):
-    code, out, _ = run(capsys, "--out", str(tmp_path), "search", "-p", "7", "--lmin", "4")
-    assert code == 0
-    assert "max admissible size None (not-attempted)" in out and "proven" not in out
-    report = json.loads((tmp_path / "search_p7.json").read_text())
-    assert report["maximality"] == "not-attempted" and report["max_size"] is None
 
 
 def test_classify_cli(tmp_path, capsys):

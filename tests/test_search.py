@@ -40,7 +40,7 @@ from affinecaps.search import (
     store_certificate,
     verify_report_payload,
 )
-from affinecaps.zp import _affine_maps, affine_image, orbit_count
+from affinecaps.zp import _affine_maps, affine_image, is_prime, orbit_count
 
 
 def test_candidate_enumeration_counts():
@@ -141,6 +141,16 @@ def test_check_pair_empty_tables_trivially_admissible():
     assert all(o.method == "digit" and not o.proof.steps for o in verdict.outcomes)
 
 
+def test_every_sweep_starts_at_an_admissible_0_1():
+    # the sweep's first level, {0, 1}, has no nontrivial progression for any
+    # b, so it always yields a witness before a level can be fully refuted
+    for p in filter(is_prime, range(5, 500)):
+        verdict = check_pair(digit_pair(p, (0, 1)))
+        assert verdict.admissible and len(verdict.outcomes) == len(
+            equation_classes(p).representatives)
+        assert all(o.method == "digit" and not o.proof.steps for o in verdict.outcomes)
+
+
 def test_sweep_p7():
     report = max_admissible_size(7)
     assert report.max_size == 3
@@ -158,12 +168,11 @@ def test_sweep_size_range_caps_the_claim():
     report = max_admissible_size(11, max_size=3)
     assert report.max_size == 3
     assert report.maximality == "not-attempted"
-    low = max_admissible_size(7, min_size=3)
-    assert low.max_size == 3 and low.maximality == "proven"
-    for min_size in (4, 6):  # every candidate of the first level is refuted
-        none = max_admissible_size(7, min_size=min_size)
-        assert none.max_size is None and none.witness is None
-        assert none.maximality == "not-attempted" and none.refutations == ()
+    with pytest.raises(TypeError):  # every sweep starts at size 2
+        max_admissible_size(7, min_size=3)
+    none = max_admissible_size(7, max_candidates=0)  # only a spent budget leaves no witness
+    assert none.max_size is None and none.witness is None
+    assert none.maximality == "not-attempted" and none.refutations == ()
 
 
 def test_sweep_budget_exhaustion_gives_partial_report():
@@ -425,6 +434,7 @@ def test_verify_report_payload_rejects_a_bundle_that_refutes_its_witness():
     assert not verdict.admissible and verdict.outcomes[-1].method == "cone"
     assert [o.b for o in verdict.outcomes] == list(search.equation_classes(7).representatives)
     report = {"p": 7, "max_size": 4, "maximality": "not-attempted", "refutations": [],
+              "budget_exhausted": False, "candidates_examined": 2,
               "witness": {"digits": [0, 1, 2, 3], "fixed": [0, 1, 2, 3],
                           "bundle": [outcome_to_jsonable(o) for o in verdict.outcomes]}}
     assert not verify_report_payload(report)
@@ -471,13 +481,12 @@ def test_verify_report_payload_counts_a_repeated_witness_digit_once():
 
 def test_verify_report_payload_accepts_a_partial_report_and_one_without_a_witness():
     assert verify_report_payload(json.loads(render_report(max_admissible_size(11, max_size=3))))
-    assert verify_report_payload(json.loads(render_report(max_admissible_size(7, min_size=4))))
+    assert verify_report_payload(json.loads(render_report(max_admissible_size(7, max_candidates=0))))
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"min_size": 1}, {"min_size": 7}, {"min_size": 9}, {"max_size": 1},
-    {"min_size": 4, "max_size": 3}, {"workers": 0}, {"workers": -1}, {"max_size": float("nan")},
-    {"max_size": 5.5}, {"max_size": 5.0}, {"min_size": 2.5}, {"max_candidates": 2.5},
+    {"max_size": 1}, {"max_size": 0}, {"workers": 0}, {"workers": -1},
+    {"max_size": float("nan")}, {"max_size": 5.5}, {"max_size": 5.0}, {"max_candidates": 2.5},
     {"max_candidates": True},
 ])
 def test_sweep_rejects_bad_sizes_and_worker_counts_up_front(tmp_path, kwargs):
@@ -514,12 +523,16 @@ def test_sweep_zero_budgets_give_an_empty_partial_report():
         assert report.budget_exhausted and report.candidates_examined == 0
 
 
-def test_sweep_lowers_a_large_max_size_to_p_minus_1():
+def test_sweep_lowers_a_large_max_size_to_p_minus_1(monkeypatch):
     unbounded = render_report(max_admissible_size(7))
     assert render_report(max_admissible_size(7, max_size=100)) == unbounded
     assert render_report(max_admissible_size(7, max_size=6)) == unbounded
-    top_level = max_admissible_size(7, min_size=6, max_size=100)  # level 6 only
-    assert top_level.candidates_examined == sum(1 for _ in candidates(7, 6))
+    # a sweep that finds every level admissible ends at level p - 1, not at 100
+    monkeypatch.setattr(search, "check_pair", lambda pair: search.PairVerdict(pair, ()))
+    monkeypatch.setattr(search, "minimize_fixed_digits",
+                        lambda digits, p: search.PairVerdict(digit_pair(p, digits), ()))
+    full = max_admissible_size(7, max_size=100)
+    assert full.max_size == 6 and full.candidates_examined == 5  # one per level 2..6
 
 
 def test_minimize_fixed_digits_p11():
